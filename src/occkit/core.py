@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,10 +28,11 @@ INSTANCE_MAX = INSTANCE_BASE - 1
 
 
 def _default_layout_channel_map(num_classes: int) -> dict[int, int]:
-    """Agent classes 1..10 -> channels 0..9, map classes 11..15 -> 10..14."""
-    table = {c: c - 1 for c in range(1, 11)}
-    table.update({c: c - 1 for c in range(11, 16) if c < num_classes})
-    return table
+    """Agent classes 1..10 -> channels 0..9, map classes 11..15 -> 10..14.
+
+    Only class ids below ``num_classes`` are mapped.
+    """
+    return {c: c - 1 for c in range(1, 16) if c < num_classes}
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,12 @@ class LabelSchema:
     free_class: int = 20
     thing_classes: frozenset[int] = frozenset(range(1, 11))
     stuff_classes: frozenset[int] = frozenset(range(11, 17))
-    layout_channel_map: Mapping[int, int] = field(
-        default_factory=lambda: _default_layout_channel_map(21)
-    )
+    layout_channel_map: Mapping[int, int] | None = None  # None: the default map
 
     def __post_init__(self):
+        if self.layout_channel_map is None:
+            object.__setattr__(self, "layout_channel_map",
+                               _default_layout_channel_map(self.num_classes))
         if not (0 <= self.free_class < self.num_classes):
             raise ValueError("free_class outside the semantic id range")
         if self.thing_classes & self.stuff_classes:
@@ -99,13 +101,16 @@ class LabelSchema:
         )
 
 
-def panoptic_encode(s: int, i: int) -> int:
-    """Pack (class code, instance id) into a single panoptic label."""
+def panoptic_encode(s: int, i: int, schema: LabelSchema = LabelSchema()) -> int:
+    """Pack (class code, instance id) into a single panoptic label.
+
+    Stuff and free codes of ``schema`` carry instance 0.
+    """
     if not (PANOPTIC_CLASS_MIN <= s <= PANOPTIC_CLASS_MAX):
         raise ValueError(f"class code {s} outside [1, {PANOPTIC_CLASS_MAX}]")
     if not (0 <= i <= INSTANCE_MAX):
         raise ValueError(f"instance id {i} outside [0, {INSTANCE_MAX}]")
-    if i != 0 and (s >= 11):  # stuff and free carry instance 0
+    if i != 0 and schema.is_stuff_or_free(s):
         raise ValueError(f"non-thing class {s} with nonzero instance {i}")
     return s * INSTANCE_BASE + i
 

@@ -2,9 +2,26 @@
 
 Camera convention: +z looks forward, +x right (pixel u), +y down
 (pixel v); rays leave through pixel centers (u + 0.5, v + 0.5). Rays
-march the occupancy volume with an incremental traversal that visits
-exactly the voxels the ray pierces, in order; the first non-free voxel
-within range defines the semantic and coordinate buffers.
+march the occupancy volume with an incremental traversal (Amanatides &
+Woo 1987) that visits exactly the voxels the ray pierces, in order; the
+first non-free voxel within range defines the semantic and coordinate
+buffers.
+
+The traversal takes nearly all of a rig render, and its cost is the cost
+of one vectorized step times the number of steps (about 74 voxel steps
+per ray and 225 steps per call on a 24-camera, 160x90 rig over the
+standard 256x256x25 grid). The step keeps one contiguous row per axis and
+reads an occupancy array with a border, which made the rig pass about 6x
+faster than stepping (N, 3) arrays with argmin and fancy indexing, with
+bit-identical results. There is no empty-space skipping, because under
+the identical-results rule it lost in numpy on that rig (2-core host):
+
+* Block leaping cut voxel steps per ray from 73 to 24, but the pass got
+  only 1.1x faster, and restarting the traversal after a leap rounds
+  near-tie crossing times differently: 1 of 345,600 rays changed voxel.
+* Clipping rays to a coarse per-column max-height removed 43% of the
+  path length, but building and applying it cost 0.9 s per rig, more
+  than the 0.6 s it saved.
 """
 
 from __future__ import annotations
@@ -122,10 +139,23 @@ def raycast_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """March rays through the voxel grid; first non-free voxel wins.
 
-    Vectorized over rays: every iteration advances all still-active rays
-    by one voxel boundary. Returns (hit (N,), voxel index (N, 3), entry
-    distance (N,)). A hit counts when the ray enters the voxel at a
-    parameter <= max_range.
+    Vectorized over rays: every iteration moves each live ray into the
+    next voxel it pierces. Returns (hit (N,), voxel index (N, 3), entry
+    distance (N,), ``inf`` on a miss); distances are ray parameters, in
+    units of ``|dir|``.
+
+    * Entry: a ray starts at ``t = max(t_grid_enter, 0)`` in the voxel
+      holding that point, clipped into the grid; a ray from inside the
+      grid starts in its origin's voxel at ``t = 0``. A ray that misses
+      the grid's box, or enters it beyond ``max_range``, misses.
+    * Ties: the ray steps across the nearest voxel boundary; when two or
+      three boundary times are equal, the lowest axis (x, then y, then z)
+      steps first, one voxel per step, so a ray through an edge or corner
+      visits the voxels between.
+    * Range: a voxel counts when the ray enters it at ``t <= max_range``.
+
+    Results are bit-identical, entry distances included, to the
+    reference traversal kept in the tests.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
@@ -161,29 +191,40 @@ def raycast_grid(
         tdelta = np.where(d != 0, vox / np.abs(d), np.inf)
     t_cur = t_enter[active]
 
-    while len(active):
-        labs = labels[iv[:, 0], iv[:, 1], iv[:, 2]]
-        found = labs != free_class
+    # Labels become an occupancy array (0 free, 1 occupied) framed by a border
+    # of 2: a ray that steps out of the grid reads 2, so no step needs a
+    # bounds test. Per-ray state is one contiguous row per axis.
+    occ = np.full(dims + 2, 2, dtype=np.uint8)
+    occ[1:-1, 1:-1, 1:-1] = labels != free_class
+    strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
+    cell = (iv + 1) @ strides
+    tm, td, ts = (np.ascontiguousarray(a.T).ravel()
+                  for a in (tmax, tdelta, step * strides))
+    m = n_live = len(active)
+    live = np.ones(m, dtype=bool)
+    while n_live:
+        if n_live <= 0.75 * m:  # compact once a quarter of the rays are done
+            active, cell, t_cur = active[live], cell[live], t_cur[live]
+            tm, td, ts = (a.reshape(3, m).compress(live, axis=1).ravel()
+                          for a in (tm, td, ts))
+            m, live = n_live, np.ones(n_live, dtype=bool)
+        v = occ.take(cell, mode="clip")  # done rays may have walked off the array
+        found = (v == 1) & live
         if found.any():
             ridx = active[found]
             hit[ridx] = True
-            hit_iv[ridx] = iv[found]
+            hit_iv[ridx] = np.column_stack(np.unravel_index(cell[found], occ.shape)) - 1
             hit_t[ridx] = t_cur[found]
-        keep = ~found
-        active = active[keep]
-        iv, step, tmax, tdelta = iv[keep], step[keep], tmax[keep], tdelta[keep]
-        if len(active) == 0:
-            break
-        r = np.arange(len(active))
-        ax = np.argmin(tmax, axis=1)
-        t_cur = tmax[r, ax]
-        iv[r, ax] += step[r, ax]
-        tmax[r, ax] += tdelta[r, ax]
-        alive = (iv[r, ax] >= 0) & (iv[r, ax] < dims[ax]) & (t_cur <= max_range)
-        if not alive.all():
-            active = active[alive]
-            iv, step = iv[alive], step[alive]
-            tmax, tdelta, t_cur = tmax[alive], tdelta[alive], t_cur[alive]
+        live &= v == 0
+        tx, ty, tz = tm.reshape(3, m)
+        mx = (tx <= ty) & (tx <= tz)
+        my = (ty < tx) & (ty <= tz)
+        k = np.arange(m) + m * (my + 2 * ~(mx | my))  # (axis, ray); ties: lowest axis
+        t_cur = tm.take(k)
+        tm[k] = t_cur + td.take(k)
+        cell += ts.take(k)
+        live &= t_cur <= max_range
+        n_live = np.count_nonzero(live)
     return hit, hit_iv, hit_t
 
 

@@ -7,6 +7,7 @@ from occkit.core import (
     LabelSchema,
     OrientedBox,
     OverwriteRule,
+    PanopticVoxelGrid,
     Se3Pose,
     SemanticOccupancyGrid,
     bev_topdown_project,
@@ -36,14 +37,23 @@ class TestPanopticCodec:
             panoptic_encode(4, 1000)
         with pytest.raises(ValueError):
             panoptic_encode(0, 0)
-        with pytest.raises(ValueError):
-            panoptic_encode(11, 5)  # stuff with nonzero instance
-        with pytest.raises(ValueError):
-            panoptic_encode(17, 1)
+        for s in range(11, 18):  # stuff and free under the default schema
+            with pytest.raises(ValueError):
+                panoptic_encode(s, 5)
         with pytest.raises(ValueError):
             panoptic_decode(999)
         with pytest.raises(ValueError):
             panoptic_decode(18000)
+
+    def test_rule_follows_the_schema(self):
+        toy = LabelSchema.toy()
+        with pytest.raises(ValueError):
+            panoptic_encode(3, 5, toy)  # stuff in the toy schema
+        with pytest.raises(ValueError):
+            panoptic_encode(17, 1, toy)
+        labels = np.array([[[panoptic_encode(1, 5, toy), panoptic_encode(3, 0, toy)]]])
+        grid = PanopticVoxelGrid(GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0), labels)
+        grid.validate(toy)
 
     def test_exhaustive_round_trip(self):
         for s in range(1, 18):
@@ -226,6 +236,13 @@ class TestPoseAndBox:
         with pytest.raises(ValueError):
             LabelSchema(thing_classes=frozenset({1, 11}),
                         stuff_classes=frozenset({11}))
+
+    def test_default_layout_map_follows_num_classes(self):
+        assert LabelSchema().layout_channel_map == {c: c - 1 for c in range(1, 16)}
+        small = LabelSchema(num_classes=10, free_class=9)
+        assert small.layout_channel_map == {c: c - 1 for c in range(1, 10)}
+        assert LabelSchema(num_classes=3, free_class=2,
+                           layout_channel_map={}).layout_channel_map == {}
 
 
 def test_points_in_polygon_square():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from occkit.core import GridSpec, LabelSchema, Se3Pose, SemanticOccupancyGrid
+from occkit.core import (GROUND_BAND_Z, GridSpec, LabelSchema, Se3Pose,
+                         SemanticOccupancyGrid)
 from occkit.render import (
     Camera,
     CameraRig,
@@ -55,6 +56,79 @@ def sampling_first_hit(labels, spec, origins, dirs, max_range, free, substeps=50
                          ~bad_prefix[:, -1])
     hit_iv = iv[np.arange(len(origins)), first]
     return has_hit, hit_iv, certified
+
+
+def reference_raycast_grid(
+    labels: np.ndarray,
+    spec: GridSpec,
+    origins: np.ndarray,
+    dirs: np.ndarray,
+    max_range: float,
+    free_class: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference traversal: occkit's original ``raycast_grid``, verbatim.
+
+    It steps (N, 3) state with argmin and fancy indexing, one voxel per
+    iteration; ``raycast_grid`` must return the same bits.
+    """
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    n = len(origins)
+    dims = np.asarray(spec.dims)
+    g0 = np.asarray(spec.origin)
+    vox = spec.voxel_size
+
+    hit = np.zeros(n, dtype=bool)
+    hit_iv = np.zeros((n, 3), dtype=np.int64)
+    hit_t = np.full(n, np.inf)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (g0 - origins) / dirs
+        tb = (g0 + dims * vox - origins) / dirs
+    zero = dirs == 0.0
+    inside = (origins >= g0) & (origins < g0 + dims * vox)
+    lo_t = np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(ta, tb))
+    hi_t = np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb))
+    t_enter = np.maximum(lo_t.max(axis=1), 0.0)
+    t_exit = hi_t.min(axis=1)
+    active = np.nonzero((t_enter <= t_exit) & (t_enter <= max_range))[0]
+    if len(active) == 0:
+        return hit, hit_iv, hit_t
+
+    p = origins[active] + t_enter[active, None] * dirs[active]
+    iv = np.clip(np.floor((p - g0) / vox).astype(np.int64), 0, dims - 1)
+    d = dirs[active]
+    step = np.where(d > 0, 1, -1).astype(np.int64)
+    boundary = g0 + (iv + (d > 0)) * vox
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tmax = np.where(d != 0, (boundary - origins[active]) / d, np.inf)
+        tdelta = np.where(d != 0, vox / np.abs(d), np.inf)
+    t_cur = t_enter[active]
+
+    while len(active):
+        labs = labels[iv[:, 0], iv[:, 1], iv[:, 2]]
+        found = labs != free_class
+        if found.any():
+            ridx = active[found]
+            hit[ridx] = True
+            hit_iv[ridx] = iv[found]
+            hit_t[ridx] = t_cur[found]
+        keep = ~found
+        active = active[keep]
+        iv, step, tmax, tdelta = iv[keep], step[keep], tmax[keep], tdelta[keep]
+        if len(active) == 0:
+            break
+        r = np.arange(len(active))
+        ax = np.argmin(tmax, axis=1)
+        t_cur = tmax[r, ax]
+        iv[r, ax] += step[r, ax]
+        tmax[r, ax] += tdelta[r, ax]
+        alive = (iv[r, ax] >= 0) & (iv[r, ax] < dims[ax]) & (t_cur <= max_range)
+        if not alive.all():
+            active = active[alive]
+            iv, step = iv[alive], step[alive]
+            tmax, tdelta, t_cur = tmax[alive], tdelta[alive], t_cur[alive]
+    return hit, hit_iv, hit_t
 
 
 class TestPlucker:
@@ -198,6 +272,108 @@ class TestRaycast:
             expect = np.stack([uu + 0.5, vv + 0.5], axis=-1)
             err = np.max(np.abs(uv - expect))
             assert err <= 0.5
+
+
+def assert_same_traversal(labels, spec, origins, dirs, max_range, free):
+    """(hit, voxel index, entry t) of both traversals are bitwise equal."""
+    hit, iv, t = raycast_grid(labels, spec, origins, dirs, max_range, free)
+    rhit, riv, rt = reference_raycast_grid(labels, spec, origins, dirs,
+                                           max_range, free)
+    assert np.array_equal(hit, rhit)
+    assert np.array_equal(iv, riv)
+    assert np.array_equal(t, rt)
+    assert np.array_equal(t.view(np.int64), rt.view(np.int64))  # sign of 0 too
+    return hit, t
+
+
+# Direction components in {-1, 0, 1}: zero components and exact diagonals,
+# on which every boundary crossing is a tie between axes.
+LATTICE_DIRS = np.array([(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1)
+                         for z in (-1, 0, 1)], dtype=np.float64)
+
+
+class TestRaycastOracle:
+    """raycast_grid against the reference traversal, bit for bit."""
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(2605)
+        free = 5
+        hits = rays = on_lattice_zero_t = 0
+        for trial in range(300):
+            dims = tuple(int(v) for v in rng.integers(1, 21, size=3))
+            vox = float(rng.choice([0.1, 0.25, 0.4, 1.0, rng.uniform(0.05, 2.0)]))
+            g0 = rng.uniform(-4.0, 4.0, size=3)
+            if trial % 2:
+                g0 = np.round(g0 / vox) * vox
+            spec = GridSpec(dims=dims, origin=tuple(g0), voxel_size=vox)
+            extent = np.asarray(dims) * vox
+            density = rng.choice([0.0, 0.02, 0.1, 0.4])
+            labels = np.where(rng.random(dims) < density,
+                              rng.integers(0, 5, dims), free)
+            k = 96
+            inside = g0 + rng.random((k, 3)) * extent
+            outside = g0 - extent + rng.random((k, 3)) * 3 * extent
+            lattice = g0 + rng.integers(-1, np.asarray(dims) + 2, (k, 3)) * vox
+            mixed = np.where(rng.random((k, 3)) < 0.5, lattice, inside)
+            origins = np.concatenate([inside, outside, lattice, mixed])
+            gauss = rng.normal(size=(len(origins), 3))
+            gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+            diag = LATTICE_DIRS[rng.integers(0, len(LATTICE_DIRS), len(origins))]
+            diag *= rng.choice([1.0, 0.5, 3.0])
+            dirs = np.where(rng.random((len(origins), 1)) < 0.5, gauss, diag)
+            span = float(np.linalg.norm(extent))
+            max_range = float(rng.choice([rng.uniform(0.0, span), 2.0 * span,
+                                          1e3, np.inf]))
+            hit, t = assert_same_traversal(labels, spec, origins, dirs,
+                                           max_range, free)
+            hits += int(hit.sum())
+            rays += len(origins)
+            on_lattice_zero_t += int(np.sum(np.signbit(t) & (t == 0.0)))
+        # the cases must occur: hits and misses, and rays entering a voxel
+        # at t = -0.0 from an origin on a boundary plane
+        assert 0.1 * rays < hits < 0.9 * rays
+        assert on_lattice_zero_t > 0
+
+    def test_edge_cases(self):
+        spec = GridSpec(dims=(4, 3, 2), origin=(-0.8, -0.6, 0.0), voxel_size=0.4)
+        free = 9
+        labels = np.full(spec.dims, free)
+        labels[3, 0, 1] = 2
+        labels[0, 2, 0] = 1
+        corners = (np.asarray(spec.origin)
+                   + np.stack(np.meshgrid(*(np.arange(d + 1) for d in spec.dims),
+                                          indexing="ij"), -1).reshape(-1, 3)
+                   * spec.voxel_size)
+        origins = np.repeat(corners, len(LATTICE_DIRS), axis=0)
+        dirs = np.tile(LATTICE_DIRS, (len(corners), 1))
+        for max_range in (0.0, 0.4, 1.0, np.inf):
+            assert_same_traversal(labels, spec, origins, dirs, max_range, free)
+        assert_same_traversal(np.full(spec.dims, free), spec, origins, dirs,
+                              np.inf, free)
+        empty = np.zeros((0, 3))
+        hit, iv, t = raycast_grid(labels, spec, empty, empty, 5.0, free)
+        assert hit.shape == (0,) and iv.shape == (0, 3) and t.shape == (0,)
+
+    def test_rig_scene(self):
+        spec = GridSpec(dims=(48, 48, 10), origin=(-9.6, -9.6, -2.0),
+                        voxel_size=0.4)
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[:, :, :GROUND_BAND_Z] = 11
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            lo = rng.integers([0, 0, GROUND_BAND_Z], [44, 44, 6])
+            hi = lo + rng.integers([1, 1, 1], [8, 8, 5])
+            labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = rng.integers(1, 11)
+        for z in (1.6, -2.0 + 6 * 0.4):
+            rig = densify_rig(densify_rig(standard_rig(fx=12.0, width=24,
+                                                       height=14, z=z), 1), 1)
+            assert len(rig.cameras) == 24
+            for cam in rig.cameras:
+                dirs = cam.pixel_directions().reshape(-1, 3)
+                origins = np.broadcast_to(cam.center(), dirs.shape)
+                for max_range in (60.0, 6.0):
+                    assert_same_traversal(labels, spec, origins, dirs,
+                                          max_range, SCHEMA.free_class)
 
 
 def _look_yaw(yaw: float) -> Se3Pose:
