@@ -27,12 +27,12 @@ PANOPTIC_CLASS_MAX = 17  # the free/empty code in the panoptic scheme
 INSTANCE_MAX = INSTANCE_BASE - 1
 
 
-def _default_layout_channel_map(num_classes: int) -> dict[int, int]:
+def _default_layout_channel_map(num_classes: int, free_class: int) -> dict[int, int]:
     """Agent classes 1..10 -> channels 0..9, map classes 11..15 -> 10..14.
 
-    Only class ids below ``num_classes`` are mapped.
+    Only class ids below ``num_classes`` are mapped, and never ``free_class``.
     """
-    return {c: c - 1 for c in range(1, 16) if c < num_classes}
+    return {c: c - 1 for c in range(1, 16) if c < num_classes and c != free_class}
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class LabelSchema:
     def __post_init__(self):
         if self.layout_channel_map is None:
             object.__setattr__(self, "layout_channel_map",
-                               _default_layout_channel_map(self.num_classes))
+                               _default_layout_channel_map(self.num_classes,
+                                                           self.free_class))
         if not (0 <= self.free_class < self.num_classes):
             raise ValueError("free_class outside the semantic id range")
         if self.thing_classes & self.stuff_classes:

@@ -20,6 +20,8 @@ All binary formats are little-endian with a 4-byte ASCII magic:
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Mapping
@@ -30,6 +32,14 @@ from .core import BevLayout, GridSpec, LabelSchema, OverwriteRule, Se3Pose
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
+    """Read exactly ``n`` bytes; a size beyond the file's end is refused unread.
+
+    Checking against the bytes left keeps a header that declares a huge
+    payload from allocating it.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(f"truncated file: {n} bytes declared, {left} left")
     data = f.read(n)
     if len(data) != n:
         raise ValueError("truncated file")
@@ -204,7 +214,7 @@ def load_pkpt(path: str | Path) -> dict[str, np.ndarray]:
             name = _read_exact(f, name_len).decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            n = int(np.prod(shape)) if rank else 1
+            n = math.prod(shape)
             raw = _read_exact(f, n * 8)
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return out

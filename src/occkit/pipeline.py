@@ -5,6 +5,7 @@ ego paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,8 +72,10 @@ def voxelize_majority(
             # compact both axes of the vote table
             vox_ids, vox_inv = np.unique(flat, return_inverse=True)
             lab_ids, lab_inv = np.unique(pts_labels, return_inverse=True)
-            counts = np.zeros((len(vox_ids), len(lab_ids)), dtype=np.int64)
-            np.add.at(counts, (vox_inv, lab_inv), 1)
+            num_labels = len(lab_ids)
+            counts = np.bincount(vox_inv * num_labels + lab_inv,
+                                 minlength=len(vox_ids) * num_labels)
+            counts = counts.reshape(len(vox_ids), num_labels)
             # lab_ids is sorted, argmax returns the first max: smaller label wins ties
             winners = lab_ids[np.argmax(counts, axis=1)]
             labels.reshape(-1)[vox_ids] = winners
@@ -87,7 +90,10 @@ def knn_propagate(
     """Majority label of the k nearest labeled points per query point.
 
     Majority ties break toward the nearest tied member's label, then
-    toward the smaller label; k is clamped to the labeled-set size.
+    toward the smaller label; k is clamped to the labeled-set size. The
+    vote runs over all queries at once: each row of neighbour labels is
+    sorted, so one label's members form a run whose length is its count
+    and whose minimum distance is its nearest member.
     """
     if len(labeled) == 0:
         raise ValueError("empty labeled set")
@@ -99,20 +105,23 @@ def knn_propagate(
     dist, idx = tree.query(query, k=k)
     if k == 1:
         return labeled.labels[np.atleast_1d(idx)]
-    dist = np.atleast_2d(dist)
-    idx = np.atleast_2d(idx)
-    out = np.empty(len(query), dtype=np.int64)
-    for qi in range(len(query)):
-        neigh_lab = labeled.labels[idx[qi]]
-        values, inv, counts = np.unique(
-            neigh_lab, return_inverse=True, return_counts=True
-        )
-        min_dist = np.full(len(values), np.inf)
-        np.minimum.at(min_dist, inv, dist[qi])
-        tied = counts == counts.max()
-        cand_lab, cand_dist = values[tied], min_dist[tied]
-        out[qi] = cand_lab[np.lexsort((cand_lab, cand_dist))[0]]
-    return out
+    lab = labeled.labels[np.atleast_2d(idx)]
+    order = np.argsort(lab, axis=1, kind="stable")
+    lab = np.take_along_axis(lab, order, axis=1).reshape(-1)
+    dist = np.take_along_axis(np.atleast_2d(dist), order, axis=1).reshape(-1)
+    # runs of one label within one row; every row starts a run
+    new_run = np.ones(lab.size, dtype=bool)
+    new_run[1:] = lab[1:] != lab[:-1]
+    new_run[::k] = True
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(starts, append=lab.size)
+    nearest = np.minimum.reduceat(dist, starts)
+    row, row_first = starts // k, np.flatnonzero(starts % k == 0)
+    top = counts == np.maximum.reduceat(counts, row_first)[row]
+    top_nearest = np.where(top, nearest, np.inf)
+    cand = top & (nearest == np.minimum.reduceat(top_nearest, row_first)[row])
+    cand_lab = np.where(cand, lab[starts], np.iinfo(np.int64).max)
+    return np.minimum.reduceat(cand_lab, row_first)
 
 
 def fit_asset_to_box(asset: np.ndarray, box: OrientedBox) -> np.ndarray:
@@ -137,13 +146,29 @@ def fit_asset_to_box(asset: np.ndarray, box: OrientedBox) -> np.ndarray:
 def remove_points_in_boxes(
     cloud: LabeledPointCloud, boxes: Sequence[OrientedBox]
 ) -> LabeledPointCloud:
-    """Drop every point inside any box (boundary inclusive), keeping order."""
+    """Drop every point inside any box (boundary inclusive), keeping order.
+
+    A box runs its exact test, :meth:`OrientedBox.contains`, only on the
+    points whose x and y lie in a square around its center of half-side
+    ``r + 1e-9 * (1 + r + |cx| + |cy|)``, ``r`` being the radius of the
+    circle through the footprint's corners. The margin is far above the
+    rounding of the exact test, so no point it counts inside is skipped.
+    """
     if len(cloud) == 0 or not boxes:
         return cloud
+    x, y = cloud.points[:, 0], cloud.points[:, 1]
     inside = np.zeros(len(cloud), dtype=bool)
     for box in boxes:
-        inside |= box.contains(cloud.points)
+        cx, cy = box.center[0], box.center[1]
+        r = math.hypot(box.size[0], box.size[1]) / 2.0
+        r += 1e-9 * (1.0 + r + abs(cx) + abs(cy))
+        near = np.flatnonzero((np.abs(x - cx) <= r) & (np.abs(y - cy) <= r))
+        inside[near] |= box.contains(cloud.points[near])
     return LabeledPointCloud(cloud.points[~inside], cloud.labels[~inside])
+
+
+# voxels per slab of resample_occupancy
+_SLAB_VOXELS = 1 << 14
 
 
 def resample_occupancy(
@@ -153,17 +178,23 @@ def resample_occupancy(
 
     Output voxel centers are pulled back through the inverse transform
     and read the containing input voxel; samples leaving the grid
-    become free.
+    become free. The grid is processed in slabs of whole x-planes, as
+    many planes as fit in 16384 voxels (at least one), each written into
+    the preallocated output, so memory stays at the output plus one slab.
     """
     spec = grid.spec
-    xs, ys, zs = np.meshgrid(
-        np.arange(spec.dims[0]), np.arange(spec.dims[1]), np.arange(spec.dims[2]),
-        indexing="ij",
-    )
-    centers = spec.index_to_center(np.stack([xs, ys, zs], axis=-1).reshape(-1, 3))
-    src = spec.world_to_index(shift.transform.inverse().apply(centers))
-    ok = spec.index_in_bounds(src)
+    nx, ny, nz = spec.dims
+    inverse = shift.transform.inverse()
+    planes = max(1, _SLAB_VOXELS // (ny * nz))
     out = np.full(spec.num_voxels, schema.free_class, dtype=grid.labels.dtype)
-    src_ok = src[ok]
-    out[ok] = grid.labels[src_ok[:, 0], src_ok[:, 1], src_ok[:, 2]]
+    for x0 in range(0, nx, planes):
+        x1 = min(nx, x0 + planes)
+        xs, ys, zs = np.meshgrid(np.arange(x0, x1), np.arange(ny), np.arange(nz),
+                                 indexing="ij")
+        centers = spec.index_to_center(np.stack([xs, ys, zs], axis=-1).reshape(-1, 3))
+        src = spec.world_to_index(inverse.apply(centers))
+        ok = spec.index_in_bounds(src)
+        src_ok = src[ok]
+        out[x0 * ny * nz:x1 * ny * nz][ok] = grid.labels[src_ok[:, 0], src_ok[:, 1],
+                                                         src_ok[:, 2]]
     return SemanticOccupancyGrid(spec, out.reshape(spec.dims))

@@ -123,8 +123,11 @@ class CameraRig:
 
 def plucker_embedding(cam: Camera) -> np.ndarray:
     """(H, W, 6) of (unit direction, origin x direction) per pixel."""
-    d = cam.pixel_directions()
-    o = cam.center()
+    return _plucker(cam.pixel_directions(), cam.center())
+
+
+def _plucker(d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Pluecker rays from directions ``d`` (H, W, 3) sharing the origin ``o``."""
     m = np.cross(np.broadcast_to(o, d.shape), d)
     return np.concatenate([d, m], axis=-1)
 
@@ -249,7 +252,7 @@ def raycast_buffers(
     coordinate = np.zeros((h, w, 3))
     coordinate[hit] = grid.spec.index_to_center(iv[hit])
     return GeometryBuffers(semantic=semantic, coordinate=coordinate,
-                           plucker=plucker_embedding(cam), hit_mask=hit)
+                           plucker=_plucker(dirs, cam.center()), hit_mask=hit)
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,11 @@ class TestPoseAndBox:
 
     def test_default_layout_map_follows_num_classes(self):
         assert LabelSchema().layout_channel_map == {c: c - 1 for c in range(1, 16)}
+        assert LabelSchema().agent_channels() == list(range(10))
+        # the free class feeds no channel
         small = LabelSchema(num_classes=10, free_class=9)
-        assert small.layout_channel_map == {c: c - 1 for c in range(1, 10)}
+        assert small.layout_channel_map == {c: c - 1 for c in range(1, 9)}
+        assert small.agent_channels() == list(range(8))
         assert LabelSchema(num_classes=3, free_class=2,
                            layout_channel_map={}).layout_channel_map == {}
 

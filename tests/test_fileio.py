@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,44 @@ def test_pose_json_round_trip():
     back = fileio.pose_from_json(fileio.pose_to_json(pose))
     assert np.allclose(back.rotation, pose.rotation, atol=1e-15)
     assert np.allclose(back.translation, pose.translation, atol=1e-15)
+
+
+def test_occg_truncated_and_oversized(tmp_path):
+    spec = GridSpec(dims=(4, 3, 2), origin=(0, 0, 0), voxel_size=0.4)
+    path = tmp_path / "g.occg"
+    fileio.save_occg(path, spec, np.ones(spec.dims, dtype=np.uint8))
+    raw = path.read_bytes()
+    for cut in (3, 10, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            fileio.load_occg(path)
+    # a header declaring 4000^3 two-byte labels, followed by a few bytes
+    header = b"OCCG" + struct.pack("<IIII", 1, 4000, 4000, 4000)
+    header += struct.pack("<ffff", 0.4, 0, 0, 0) + struct.pack("<B", 2)
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ValueError, match="truncated"):
+        fileio.load_occg(path)
+
+
+def test_pkpt_truncated_and_oversized(tmp_path):
+    path = tmp_path / "c.pkpt"
+    fileio.save_pkpt(path, {"w": np.ones((2, 3)), "b": np.zeros(3)})
+    raw = path.read_bytes()
+    for cut in (2, 9, 20, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            fileio.load_pkpt(path)
+    # one tensor declaring 100000^3 elements
+    body = struct.pack("<I", 1) + b"w" + struct.pack("<I", 3)
+    body += struct.pack("<3I", 100000, 100000, 100000)
+    path.write_bytes(b"PKPT" + struct.pack("<I", 1) + body + bytes(64))
+    with pytest.raises(ValueError, match="truncated"):
+        fileio.load_pkpt(path)
+    # a rank whose shape would overflow a 64-bit product, and a huge name
+    body = struct.pack("<I", 1) + b"w" + struct.pack("<I", 4) + struct.pack("<4I", *[2**31] * 4)
+    path.write_bytes(b"PKPT" + struct.pack("<I", 1) + body + bytes(64))
+    with pytest.raises(ValueError, match="truncated"):
+        fileio.load_pkpt(path)
+    path.write_bytes(b"PKPT" + struct.pack("<II", 1, 2**32 - 1) + bytes(8))
+    with pytest.raises(ValueError, match="truncated"):
+        fileio.load_pkpt(path)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from occkit import pipeline
 from occkit.core import (
     GridSpec,
     LabelSchema,
@@ -255,3 +257,263 @@ class TestResample:
         inv = EgoShift(fwd.transform.inverse())
         back = resample_occupancy(resample_occupancy(grid, fwd, SCHEMA), inv, SCHEMA)
         assert np.array_equal(back.labels[1:-1, 2:-2], grid.labels[1:-1, 2:-2])
+
+
+# ---------------------------------------------------------------------------
+# Equality oracles: the loop implementations the vectorised stages replaced,
+# kept verbatim. The stages must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_voxelize_majority(cloud, spec, schema):
+    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
+    if len(cloud):
+        idx = spec.world_to_index(cloud.points)
+        keep = spec.index_in_bounds(idx)
+        idx, pts_labels = idx[keep], cloud.labels[keep]
+        if len(idx):
+            dims = np.asarray(spec.dims)
+            flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
+            # compact both axes of the vote table
+            vox_ids, vox_inv = np.unique(flat, return_inverse=True)
+            lab_ids, lab_inv = np.unique(pts_labels, return_inverse=True)
+            counts = np.zeros((len(vox_ids), len(lab_ids)), dtype=np.int64)
+            np.add.at(counts, (vox_inv, lab_inv), 1)
+            # lab_ids is sorted, argmax returns the first max: smaller label wins ties
+            winners = lab_ids[np.argmax(counts, axis=1)]
+            labels.reshape(-1)[vox_ids] = winners
+    grid = PanopticVoxelGrid(spec, labels)
+    grid.validate(schema)
+    return grid
+
+
+def reference_knn_propagate(labeled, query, k):
+    if len(labeled) == 0:
+        raise ValueError("empty labeled set")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
+    k = min(k, len(labeled))
+    tree = cKDTree(labeled.points)
+    dist, idx = tree.query(query, k=k)
+    if k == 1:
+        return labeled.labels[np.atleast_1d(idx)]
+    dist = np.atleast_2d(dist)
+    idx = np.atleast_2d(idx)
+    out = np.empty(len(query), dtype=np.int64)
+    for qi in range(len(query)):
+        neigh_lab = labeled.labels[idx[qi]]
+        values, inv, counts = np.unique(
+            neigh_lab, return_inverse=True, return_counts=True
+        )
+        min_dist = np.full(len(values), np.inf)
+        np.minimum.at(min_dist, inv, dist[qi])
+        tied = counts == counts.max()
+        cand_lab, cand_dist = values[tied], min_dist[tied]
+        out[qi] = cand_lab[np.lexsort((cand_lab, cand_dist))[0]]
+    return out
+
+
+def reference_remove_points_in_boxes(cloud, boxes):
+    if len(cloud) == 0 or not boxes:
+        return cloud
+    inside = np.zeros(len(cloud), dtype=bool)
+    for box in boxes:
+        inside |= box.contains(cloud.points)
+    return LabeledPointCloud(cloud.points[~inside], cloud.labels[~inside])
+
+
+def reference_resample_occupancy(grid, shift, schema):
+    spec = grid.spec
+    xs, ys, zs = np.meshgrid(
+        np.arange(spec.dims[0]), np.arange(spec.dims[1]), np.arange(spec.dims[2]),
+        indexing="ij",
+    )
+    centers = spec.index_to_center(np.stack([xs, ys, zs], axis=-1).reshape(-1, 3))
+    src = spec.world_to_index(shift.transform.inverse().apply(centers))
+    ok = spec.index_in_bounds(src)
+    out = np.full(spec.num_voxels, schema.free_class, dtype=grid.labels.dtype)
+    src_ok = src[ok]
+    out[ok] = grid.labels[src_ok[:, 0], src_ok[:, 1], src_ok[:, 2]]
+    return SemanticOccupancyGrid(spec, out.reshape(spec.dims))
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestKnnOracle:
+    def check(self, labeled, query, k):
+        assert_bitwise(knn_propagate(labeled, query, k),
+                       reference_knn_propagate(labeled, query, k))
+
+    def test_lattice_ties_and_duplicates(self):
+        # integer lattice points and queries: many exactly equal distances,
+        # so ties fall at the k-th neighbour and inside the vote
+        rng = np.random.default_rng(30)
+        for trial in range(60):
+            n = int(rng.integers(1, 80))
+            pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+            pool = rng.choice([1001, 1002, 2001, 11000, 15000, 17000],
+                              size=int(rng.integers(1, 7)), replace=False)
+            labeled = LabeledPointCloud(pts, rng.choice(pool, size=n))
+            query = rng.integers(-3, 4, size=(int(rng.integers(1, 50)), 3))
+            for k in range(2, 9):
+                self.check(labeled, query.astype(np.float64), k)
+
+    def test_duplicate_points_with_different_labels(self):
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(10, 3))
+        pts = np.repeat(base, 4, axis=0)
+        labels = rng.choice([4001, 4002, 4003], size=len(pts))
+        labeled = LabeledPointCloud(pts, labels)
+        query = np.concatenate([base, rng.normal(size=(30, 3))])
+        for k in range(2, 9):
+            self.check(labeled, query, k)
+
+    def test_k_above_distinct_labels_and_points(self):
+        rng = np.random.default_rng(32)
+        labeled = LabeledPointCloud(rng.normal(size=(12, 3)),
+                                    rng.choice([1001, 11000], size=12))
+        query = rng.normal(size=(25, 3))
+        for k in (3, 5, 8, 12, 40):
+            self.check(labeled, query, k)
+
+    def test_continuous_points(self):
+        rng = np.random.default_rng(33)
+        labeled = LabeledPointCloud(rng.normal(size=(400, 3)),
+                                    rng.integers(1000, 1012, size=400))
+        for k in range(1, 9):
+            self.check(labeled, rng.normal(size=(300, 3)), k)
+
+    def test_single_and_zero_query_rows(self):
+        labeled = LabeledPointCloud(np.eye(3), np.array([1001, 1001, 2001]))
+        for k in (1, 2, 3):
+            self.check(labeled, np.zeros(3), k)
+            self.check(labeled, np.zeros((0, 3)), k)
+
+
+class TestVoxelizeOracle:
+    def test_many_tied_votes(self):
+        # a few voxels, each holding several labels with equal counts
+        rng = np.random.default_rng(34)
+        for trial in range(40):
+            cells = rng.integers(0, SPEC.dims, size=(int(rng.integers(1, 12)), 3))
+            pts, labs = [], []
+            for cell in cells:
+                center = SPEC.index_to_center(cell)
+                count = int(rng.integers(1, 4))
+                for lab in rng.choice([1001, 1002, 4001, 11000, 15000],
+                                      size=int(rng.integers(1, 5)), replace=False):
+                    jitter = rng.uniform(-0.19, 0.19, size=(count, 3))
+                    pts.append(center + jitter)
+                    labs.append(np.full(count, lab))
+            cloud = LabeledPointCloud(np.concatenate(pts), np.concatenate(labs))
+            assert_bitwise(voxelize_majority(cloud, SPEC, SCHEMA).labels,
+                           reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+
+    def test_random_clouds_with_outside_points(self):
+        rng = np.random.default_rng(35)
+        for trial in range(20):
+            n = int(rng.integers(0, 3000))
+            cloud = LabeledPointCloud(rng.uniform(-2.5, 2.5, size=(n, 3)),
+                                      rng.choice([1001, 2001, 2002, 11000], size=n))
+            assert_bitwise(voxelize_majority(cloud, SPEC, SCHEMA).labels,
+                           reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+
+
+class TestRemoveOracle:
+    def boundary_points(self, box, rng):
+        """Points on the faces, edges and corners of a box, plus jittered ones."""
+        half = np.asarray(box.size) / 2.0
+        signs = rng.choice([-1.0, 0.0, 1.0], size=(300, 3))
+        local = signs * half
+        free = rng.random((300, 3)) < 0.3
+        local[free] = rng.uniform(-1.0, 1.0, size=free.sum()) * np.broadcast_to(
+            half, (300, 3))[free]
+        world = box.pose().apply(local)
+        return np.concatenate([world, world + rng.normal(0, 1e-12, size=world.shape)])
+
+    def check(self, cloud, boxes):
+        got = remove_points_in_boxes(cloud, boxes)
+        want = reference_remove_points_in_boxes(cloud, boxes)
+        assert_bitwise(got.points, want.points)
+        assert_bitwise(got.labels, want.labels)
+
+    def test_faces_and_corners_of_yawed_boxes(self):
+        rng = np.random.default_rng(36)
+        for trial in range(40):
+            boxes = [OrientedBox(center=tuple(rng.normal(0, 3, size=3)),
+                                 size=tuple(rng.uniform(0.2, 4.0, size=3)),
+                                 yaw=float(rng.choice([0.0, np.pi / 2, np.pi,
+                                                       rng.uniform(-np.pi, np.pi)])))
+                     for _ in range(int(rng.integers(1, 4)))]
+            pts = np.concatenate([self.boundary_points(b, rng) for b in boxes]
+                                 + [rng.uniform(-8, 8, size=(200, 3))])
+            cloud = LabeledPointCloud(pts, rng.integers(1001, 1100, size=len(pts)))
+            self.check(cloud, boxes)
+
+    def test_exact_faces_and_far_centres(self):
+        # dyadic sizes and centres: faces land exactly on the points
+        g = np.arange(-3.0, 3.25, 0.25)
+        lattice = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+        for offset in (0.0, 1e6, -3e7):
+            pts = lattice + np.array([offset, -offset, 0.0])
+            cloud = LabeledPointCloud(pts, np.arange(len(pts)) + 1000)
+            boxes = [OrientedBox((offset + 0.5, -offset - 1.0, 0.0), (2.0, 1.0, 1.5), 0.0),
+                     OrientedBox((offset, -offset, 0.5), (1.0, 3.0, 1.0), np.pi / 2),
+                     OrientedBox((offset - 1.0, -offset + 1.0, -1.0), (1.5, 1.5, 0.5),
+                                 np.pi / 4)]
+            self.check(cloud, boxes)
+
+    def test_boxes_away_from_every_point(self):
+        rng = np.random.default_rng(37)
+        cloud = LabeledPointCloud(rng.uniform(-1, 1, size=(500, 3)),
+                                  rng.integers(1001, 1010, size=500))
+        boxes = [OrientedBox((50.0, 0.0, 0.0), (3.0, 3.0, 3.0), 0.3),
+                 OrientedBox((0.0, 0.0, 40.0), (1.0, 1.0, 1.0), 0.0)]
+        self.check(cloud, boxes)
+        assert len(remove_points_in_boxes(cloud, boxes)) == 500
+
+
+class TestResampleOracle:
+    def check(self, grid, shift):
+        assert_bitwise(resample_occupancy(grid, shift, SCHEMA).labels,
+                       reference_resample_occupancy(grid, shift, SCHEMA).labels)
+
+    @pytest.mark.parametrize("slab_voxels", [1, 7, 64, pipeline._SLAB_VOXELS])
+    def test_random_yaw_and_translation(self, monkeypatch, slab_voxels):
+        monkeypatch.setattr(pipeline, "_SLAB_VOXELS", slab_voxels)
+        rng = np.random.default_rng(38)
+        for trial in range(25):
+            dims = tuple(int(d) for d in rng.choice([1, 2, 5, 9, 16], size=3))
+            spec = GridSpec(dims, tuple(rng.uniform(-4, 0, size=3)),
+                            float(rng.choice([0.2, 0.4, 0.5, 1.0])))
+            grid = SemanticOccupancyGrid(
+                spec, rng.integers(0, SCHEMA.num_classes, size=dims).astype(np.uint8))
+            shift = EgoShift(Se3Pose.from_yaw(rng.uniform(-np.pi, np.pi),
+                                              rng.normal(0, 2, size=3)))
+            self.check(grid, shift)
+
+    def test_centres_on_voxel_boundaries(self):
+        # half-voxel shifts of a dyadic grid put every pulled-back centre on
+        # a boundary plane, where floor decides the voxel
+        rng = np.random.default_rng(39)
+        spec = GridSpec((12, 10, 6), (-3.0, -2.5, -1.5), 0.5)
+        grid = SemanticOccupancyGrid(
+            spec, rng.integers(0, SCHEMA.num_classes, size=spec.dims).astype(np.uint8))
+        for t in [(0.25, 0.0, 0.0), (0.25, -0.75, 0.25), (-1.25, 0.25, 0.0)]:
+            for yaw in (0.0, np.pi / 2, np.pi, rng.uniform(-np.pi, np.pi)):
+                self.check(grid, EgoShift(Se3Pose.from_yaw(yaw, t)))
+
+    def test_one_voxel_axes(self):
+        rng = np.random.default_rng(40)
+        for dims in [(1, 7, 3), (6, 1, 4), (5, 3, 1), (1, 1, 1), (40, 1, 1)]:
+            spec = GridSpec(dims, (-1.0, -1.0, -0.5), 0.5)
+            grid = SemanticOccupancyGrid(
+                spec, rng.integers(0, SCHEMA.num_classes, size=dims).astype(np.int64))
+            for _ in range(5):
+                self.check(grid, EgoShift(Se3Pose.from_yaw(
+                    rng.uniform(-np.pi, np.pi), rng.choice([-0.5, 0.0, 0.25, 1.0], size=3))))

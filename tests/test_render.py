@@ -164,6 +164,21 @@ class TestPlucker:
         assert np.max(np.abs(emb - emb2)) <= 1e-12
 
 
+    def test_buffers_carry_the_embedding_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        spec = GridSpec((8, 8, 4), (-1.6, -1.6, -0.8), 0.4)
+        grid = SemanticOccupancyGrid(
+            spec, rng.integers(0, SCHEMA.num_classes, size=spec.dims).astype(np.uint8))
+        for _ in range(5):
+            cam = make_camera(pose=Se3Pose.from_yaw(rng.uniform(-3, 3), rng.normal(size=3)))
+            buf = raycast_buffers(grid, cam, 10.0, SCHEMA)
+            d = cam.pixel_directions()
+            want = np.concatenate(
+                [d, np.cross(np.broadcast_to(cam.center(), d.shape), d)], axis=-1)
+            assert buf.plucker.tobytes() == want.tobytes()
+            assert plucker_embedding(cam).tobytes() == want.tobytes()
+
+
 class TestRaycast:
     def spec(self):
         return GridSpec(dims=(16, 16, 16), origin=(-3.2, -3.2, -3.2),
