@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,12 +27,9 @@ PANOPTIC_CLASS_MAX = 17  # the free/empty code in the panoptic scheme
 INSTANCE_MAX = INSTANCE_BASE - 1
 
 
-def _default_layout_channel_map(num_classes: int, free_class: int) -> dict[int, int]:
-    """Agent classes 1..10 -> channels 0..9, map classes 11..15 -> 10..14.
-
-    Only class ids below ``num_classes`` are mapped, and never ``free_class``.
-    """
-    return {c: c - 1 for c in range(1, 16) if c < num_classes and c != free_class}
+def _schema_codes(codes: range, num_classes: int, free_class: int) -> list[int]:
+    """The codes whose same-valued semantic id exists and is not ``free_class``."""
+    return [c for c in codes if c < num_classes and c != free_class]
 
 
 @dataclass(frozen=True)
@@ -43,19 +40,29 @@ class LabelSchema:
     (things carry instance ids, stuff is always instance 0). The free
     code 17 maps to ``free_class`` internally; codes 1..16 map to the
     same-valued semantic id.
+
+    Left as ``None``, the class sets and the layout map keep only codes
+    below ``num_classes`` other than ``free_class`` (things 1..10, stuff
+    11..16, agents 1..10 -> channels 0..9, map classes 11..15 -> 10..14).
     """
 
     num_classes: int = 21
     free_class: int = 20
-    thing_classes: frozenset[int] = frozenset(range(1, 11))
-    stuff_classes: frozenset[int] = frozenset(range(11, 17))
-    layout_channel_map: Mapping[int, int] | None = None  # None: the default map
+    thing_classes: frozenset[int] | None = None
+    stuff_classes: frozenset[int] | None = None
+    layout_channel_map: Mapping[int, int] | None = None
 
     def __post_init__(self):
+        n, free = self.num_classes, self.free_class
+        if self.thing_classes is None:
+            object.__setattr__(self, "thing_classes",
+                               frozenset(_schema_codes(range(1, 11), n, free)))
+        if self.stuff_classes is None:
+            object.__setattr__(self, "stuff_classes",
+                               frozenset(_schema_codes(range(11, 17), n, free)))
         if self.layout_channel_map is None:
             object.__setattr__(self, "layout_channel_map",
-                               _default_layout_channel_map(self.num_classes,
-                                                           self.free_class))
+                               {c: c - 1 for c in _schema_codes(range(1, 16), n, free)})
         if not (0 <= self.free_class < self.num_classes):
             raise ValueError("free_class outside the semantic id range")
         if self.thing_classes & self.stuff_classes:
@@ -81,8 +88,12 @@ class LabelSchema:
         }
         return sorted(chans)
 
-    def is_stuff_or_free(self, s: int) -> bool:
-        return s in self.stuff_classes or s == PANOPTIC_CLASS_MAX
+    def is_stuff_or_free(self, s: np.ndarray | int):
+        """Codes that carry instance 0: stuff, 17, and the code of ``free_class``."""
+        out = np.equal(s, PANOPTIC_CLASS_MAX)
+        for code in (*self.stuff_classes, self.free_class):
+            out |= np.equal(s, code)
+        return out if isinstance(s, np.ndarray) else bool(out)
 
     def panoptic_class_to_semantic(self, s: np.ndarray | int):
         """Map panoptic class codes (1..17) to semantic ids; 17 -> free."""
@@ -116,18 +127,15 @@ def panoptic_encode(s: int, i: int, schema: LabelSchema = LabelSchema()) -> int:
     return s * INSTANCE_BASE + i
 
 
-def panoptic_decode(label: int) -> tuple[int, int]:
-    """Inverse of :func:`panoptic_encode`."""
+def panoptic_decode(label: np.ndarray | int):
+    """Inverse of :func:`panoptic_encode`, for one label or an array of them."""
     lo = PANOPTIC_CLASS_MIN * INSTANCE_BASE
     hi = PANOPTIC_CLASS_MAX * INSTANCE_BASE + INSTANCE_MAX
-    if not (lo <= label <= hi):
-        raise ValueError(f"panoptic label {label} outside [{lo}, {hi}]")
-    return label // INSTANCE_BASE, label % INSTANCE_BASE
-
-
-def panoptic_decode_array(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels)
-    return labels // INSTANCE_BASE, labels % INSTANCE_BASE
+    arr = np.asarray(label)
+    if arr.size and (arr.min() < lo or arr.max() > hi):
+        raise ValueError(f"panoptic label outside [{lo}, {hi}]")
+    s, i = arr // INSTANCE_BASE, arr % INSTANCE_BASE
+    return (s, i) if arr.ndim else (int(s), int(i))
 
 
 @dataclass(frozen=True)
@@ -161,12 +169,6 @@ class GridSpec:
     def index_to_center(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.float64)
         return np.asarray(self.origin) + (idx + 0.5) * self.voxel_size
-
-    def centers_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """World xy coordinates of column centers, each shaped (X, Y)."""
-        xs = self.origin[0] + (np.arange(self.dims[0]) + 0.5) * self.voxel_size
-        ys = self.origin[1] + (np.arange(self.dims[1]) + 0.5) * self.voxel_size
-        return np.meshgrid(xs, ys, indexing="ij")
 
     @classmethod
     def standard(cls) -> "GridSpec":
@@ -213,17 +215,12 @@ class PanopticVoxelGrid:
         self.labels = labels
 
     def validate(self, schema: LabelSchema) -> None:
-        s, i = panoptic_decode_array(self.labels)
-        if self.labels.size == 0:
-            return
-        if s.min() < PANOPTIC_CLASS_MIN or s.max() > PANOPTIC_CLASS_MAX:
-            raise ValueError("panoptic class code out of range")
-        nonthing = np.isin(s, sorted(schema.stuff_classes)) | (s == PANOPTIC_CLASS_MAX)
-        if np.any(i[nonthing] != 0):
+        s, i = panoptic_decode(self.labels)
+        if np.any(i[schema.is_stuff_or_free(s)] != 0):
             raise ValueError("stuff/free voxel with nonzero instance id")
 
     def to_semantic(self, schema: LabelSchema) -> SemanticOccupancyGrid:
-        s, _ = panoptic_decode_array(self.labels)
+        s, _ = panoptic_decode(self.labels)
         sem = schema.panoptic_class_to_semantic(s)
         dtype = np.uint8 if schema.num_classes <= 255 else np.uint16
         return SemanticOccupancyGrid(self.spec, sem.astype(dtype))
@@ -303,14 +300,6 @@ class OrientedBox:
         half = np.asarray(self.size, dtype=np.float64) / 2.0
         return np.all(np.abs(local) <= half, axis=-1)
 
-    def footprint(self) -> np.ndarray:
-        """4x2 world-frame xy corners of the box footprint, CCW."""
-        hw, hl = self.size[0] / 2.0, self.size[1] / 2.0
-        corners = np.array([[hw, hl], [-hw, hl], [-hw, -hl], [hw, -hl]])
-        c, s = np.cos(self.yaw), np.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return corners @ rot.T + np.asarray(self.center[:2])
-
 
 # ---------------------------------------------------------------------------
 # BEV layouts
@@ -354,11 +343,6 @@ class BevLayout:
         if not (0 <= channel < self.channels):
             raise ValueError(f"channel {channel} out of range")
         return (self.bits & np.uint16(1 << channel)) != 0
-
-    def channel_planes(self) -> np.ndarray:
-        """Boolean (channels, W, H) view of the bitmask raster."""
-        shifts = np.arange(self.channels, dtype=np.uint16)
-        return ((self.bits[None, :, :] >> shifts[:, None, None]) & 1).astype(bool)
 
     def copy(self) -> "BevLayout":
         return BevLayout(self.width, self.height, self.resolution,

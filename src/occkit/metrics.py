@@ -26,12 +26,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ValueError("class count mismatch")
-        self.counts += other.counts
-        return self
-
 
 def accumulate_labels(gt: np.ndarray, pred: np.ndarray, acc: ConfusionMatrix) -> ConfusionMatrix:
     g = np.asarray(gt).reshape(-1).astype(np.int64)
@@ -90,19 +84,6 @@ def binary_iou(matrix: ConfusionMatrix, schema: LabelSchema) -> float:
     if union == 0:
         return 0.0
     return float(inter / union)
-
-
-def topdown_confusion(
-    pred: SemanticOccupancyGrid,
-    gt: SemanticOccupancyGrid,
-    schema: LabelSchema,
-) -> ConfusionMatrix:
-    """Confusion of the lowest-z projections of both grids."""
-    if pred.spec != gt.spec:
-        raise ValueError("grid specs differ")
-    acc = ConfusionMatrix(schema.num_classes)
-    return accumulate_labels(bev_topdown_project(gt, schema),
-                             bev_topdown_project(pred, schema), acc)
 
 
 def bev_vs_layout_metrics(

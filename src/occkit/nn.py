@@ -3,10 +3,10 @@
 Every forward returns ``(out, cache)``; the matching ``*_backward``
 consumes ``(dout, cache)`` and returns exact gradients. The layer menu
 is fixed (linear, layernorm, silu/swiglu, masked multi-head attention,
-2-axis rotary embedding, convolution, pooling, embedding lookup) and
-each piece is verifiable by central finite differences at 64-bit
-precision. There is no autodiff graph: models compose these calls and
-mirror them by hand in reverse.
+2-axis rotary embedding, convolution, embedding lookup) and each piece
+is verifiable by central finite differences at 64-bit precision. There
+is no autodiff graph: models compose these calls and mirror them by
+hand in reverse.
 
 Randomness is drawn from named Philox streams derived from one root
 seed, so every training run is reproducible across platforms:
@@ -156,15 +156,14 @@ def rope_apply_backward(dout: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> n
     return rope_apply(dout, cos, -sin)
 
 
-def rope2d(tokens: np.ndarray, grid_positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
-    """Convenience wrapper: rotate (..., S, head_dim) tokens in place of pairs."""
-    cos, sin = rope2d_angles(grid_positions, tokens.shape[-1], base)
-    return rope_apply(tokens, cos, sin)
-
-
 # ---------------------------------------------------------------------------
 # Masked multi-head attention
 # ---------------------------------------------------------------------------
+
+
+def softmax_backward(dprobs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Gradient through a softmax over the last axis, given its output."""
+    return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -221,7 +220,7 @@ def masked_attention_backward(dout: np.ndarray, cache):
     dvh = attn.swapaxes(-1, -2) @ doh
     dattn = doh @ vh.swapaxes(-1, -2)
     # softmax rows: disallowed entries have attn == 0, so they stay zero
-    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    ds = softmax_backward(dattn, attn)
     dqh = (ds @ kh) * scale
     dkh = (ds.swapaxes(-1, -2) @ qh) * scale
     if rope is not None:
@@ -232,7 +231,7 @@ def masked_attention_backward(dout: np.ndarray, cache):
 
 
 # ---------------------------------------------------------------------------
-# Convolution / pooling on (B, H, W, C) maps
+# Convolution and space/depth reshuffles on (B, H, W, C) maps
 # ---------------------------------------------------------------------------
 
 
@@ -274,21 +273,6 @@ def conv2d_backward(dout: np.ndarray, cache):
     if padding:
         dxp = dxp[:, padding:-padding, padding:-padding, :]
     return dxp, dw, db
-
-
-def avgpool2d(x: np.ndarray, factor: int):
-    bsz, h, w, c = x.shape
-    if h % factor or w % factor:
-        raise ValueError("pool factor must divide spatial dims")
-    blocks = x.reshape(bsz, h // factor, factor, w // factor, factor, c)
-    return blocks.mean(axis=(2, 4)), (x.shape, factor)
-
-
-def avgpool2d_backward(dout: np.ndarray, cache):
-    shape, factor = cache
-    d = dout / (factor * factor)
-    d = np.repeat(np.repeat(d, factor, axis=1), factor, axis=2)
-    return d
 
 
 def space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:

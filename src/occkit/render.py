@@ -26,8 +26,7 @@ the identical-results rule it lost in numpy on that rig (2-core host):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
@@ -109,16 +108,6 @@ class CameraRig:
         names = [c.name for c in self.cameras]
         if len(names) != len(set(names)):
             raise ValueError("duplicate camera name in rig")
-
-    def by_name(self, name: str) -> Camera:
-        for cam in self.cameras:
-            if cam.name == name:
-                return cam
-        raise KeyError(name)
-
-    def has_roles(self, roles: Sequence[str]) -> bool:
-        present = {c.role for c in self.cameras}
-        return all(r in present for r in roles)
 
 
 def plucker_embedding(cam: Camera) -> np.ndarray:

@@ -10,13 +10,11 @@ hand-written backward passes composed from the layer menu in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
-from .core import LabelSchema
 from .losses import focal_loss, kl_standard_normal, lovasz_softmax, softmax
 
 
@@ -40,6 +38,12 @@ class VaeConfig:
             raise ValueError("downsample must be a power of two <= 8")
         if x % self.spatial_downsample or y % self.spatial_downsample:
             raise ValueError("downsample must divide grid X and Y")
+        if not self.hidden or min(self.hidden) <= 0:
+            raise ValueError("hidden needs at least one positive width")
+        if self.attn_heads <= 0 or _stage_widths(self)[-1] % self.attn_heads:
+            raise ValueError("attn_heads must divide the attention width")
+        if self.class_weights is not None and len(self.class_weights) != self.num_classes:
+            raise ValueError("class_weights needs one weight per class")
 
     @property
     def latent_hw(self) -> tuple[int, int]:
@@ -51,35 +55,15 @@ class VaeConfig:
         return {1: 0, 2: 1, 4: 2, 8: 3}[self.spatial_downsample]
 
     def to_json(self) -> dict:
-        return {
-            "grid_dims": list(self.grid_dims),
-            "num_classes": self.num_classes,
-            "class_embed_dim": self.class_embed_dim,
-            "latent_channels": self.latent_channels,
-            "spatial_downsample": self.spatial_downsample,
-            "hidden": list(self.hidden),
-            "attn_heads": self.attn_heads,
-            "focal_gamma": self.focal_gamma,
-            "lovasz_weight": self.lovasz_weight,
-            "kl_weight": self.kl_weight,
-            "class_weights": list(self.class_weights) if self.class_weights else None,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "VaeConfig":
-        return cls(
-            grid_dims=tuple(obj["grid_dims"]),
-            num_classes=int(obj["num_classes"]),
-            class_embed_dim=int(obj["class_embed_dim"]),
-            latent_channels=int(obj["latent_channels"]),
-            spatial_downsample=int(obj["spatial_downsample"]),
-            hidden=tuple(obj["hidden"]),
-            attn_heads=int(obj["attn_heads"]),
-            focal_gamma=float(obj["focal_gamma"]),
-            lovasz_weight=float(obj["lovasz_weight"]),
-            kl_weight=float(obj["kl_weight"]),
-            class_weights=tuple(obj["class_weights"]) if obj.get("class_weights") else None,
-        )
+        names = {f.name for f in fields(cls)}
+        if set(obj) != names:
+            raise ValueError(f"VaeConfig keys: unknown {sorted(set(obj) - names)}, "
+                             f"missing {sorted(names - set(obj))}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
 def _stage_widths(cfg: VaeConfig) -> list[int]:
@@ -313,10 +297,6 @@ def vae_decode_backward(params, grads, cfg, dlogits, caches):
     return d
 
 
-def softmax_backward(dprobs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-
-
 # ---------------------------------------------------------------------------
 # Training / inference entry points
 # ---------------------------------------------------------------------------
@@ -343,7 +323,7 @@ def vae_train_step(
                                   voxel_weights=voxel_weights)
     probs = softmax(logits)
     l_lovasz, dprobs = lovasz_softmax(probs, labels)
-    dlogits = dlogits + cfg.lovasz_weight * softmax_backward(dprobs, probs)
+    dlogits = dlogits + cfg.lovasz_weight * nn.softmax_backward(dprobs, probs)
     l_kl, dmu_kl, dlogvar_kl = kl_standard_normal(mu, logvar)
 
     dz = vae_decode_backward(params, grads, cfg, dlogits, dec_caches)

@@ -55,6 +55,39 @@ class TestPanopticCodec:
         grid = PanopticVoxelGrid(GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0), labels)
         grid.validate(toy)
 
+    def test_free_class_code_carries_no_instance(self):
+        small = LabelSchema(num_classes=10, free_class=9)
+        with pytest.raises(ValueError):
+            panoptic_encode(9, 5, small)
+        grid = PanopticVoxelGrid(GridSpec((1, 1, 1), (0.0, 0.0, 0.0), 1.0),
+                                 np.array([[[9005]]]))
+        with pytest.raises(ValueError):
+            grid.validate(small)
+        grid.labels[...] = 9000
+        grid.validate(small)
+
+    def test_array_forms_match_the_scalar_forms(self):
+        codes = np.arange(1, 18)
+        for schema in (SCHEMA, LabelSchema.toy(), LabelSchema(num_classes=10, free_class=9)):
+            flags = schema.is_stuff_or_free(codes)
+            assert flags.tolist() == [schema.is_stuff_or_free(int(c)) for c in codes]
+        labels = np.array([[1999, 4007], [11000, 17000]])
+        s, i = panoptic_decode(labels)
+        assert s.tolist() == [[1, 4], [11, 17]] and i.tolist() == [[999, 7], [0, 0]]
+        assert [panoptic_decode(int(v)) for v in labels.ravel()] == list(
+            zip(s.ravel().tolist(), i.ravel().tolist()))
+        for bad in (999, 18000):
+            with pytest.raises(ValueError):
+                panoptic_decode(np.array([4007, bad]))
+
+    def test_to_semantic_rejects_out_of_range_labels(self):
+        spec = GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0)
+        for bad in (999, 18000):
+            with pytest.raises(ValueError):
+                PanopticVoxelGrid(spec, np.array([[[4007, bad]]])).to_semantic(SCHEMA)
+        sem = PanopticVoxelGrid(spec, np.array([[[4007, 17000]]])).to_semantic(SCHEMA)
+        assert sem.labels.tolist() == [[[4, SCHEMA.free_class]]]
+
     def test_exhaustive_round_trip(self):
         for s in range(1, 18):
             i_max = 999 if s <= 10 else 0
@@ -246,6 +279,17 @@ class TestPoseAndBox:
         assert small.agent_channels() == list(range(8))
         assert LabelSchema(num_classes=3, free_class=2,
                            layout_channel_map={}).layout_channel_map == {}
+
+    def test_default_class_sets_follow_num_classes(self):
+        assert LabelSchema().thing_classes == frozenset(range(1, 11))
+        assert LabelSchema().stuff_classes == frozenset(range(11, 17))
+        toy = LabelSchema.toy()
+        assert (toy.thing_classes, toy.stuff_classes) == ({1, 2}, {3, 4})
+        # neither the free class 9 nor the non-class 10 is a thing
+        small = LabelSchema(num_classes=10, free_class=9)
+        assert small.thing_classes == frozenset(range(1, 9))
+        assert small.stuff_classes == frozenset()
+        assert LabelSchema(num_classes=14, free_class=0).stuff_classes == {11, 12, 13}
 
 
 def test_points_in_polygon_square():

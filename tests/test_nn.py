@@ -139,18 +139,22 @@ class TestAttention:
         assert nn.grad_check(f, [q, k, v], rng=rng) < 1e-5
 
 
+def rope(tokens, positions):
+    return nn.rope_apply(tokens, *nn.rope2d_angles(positions, tokens.shape[-1]))
+
+
 class TestRope:
     def test_zero_position_identity(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, 8))
-        y = nn.rope2d(x, np.zeros((1, 2)))
+        y = rope(x, np.zeros((1, 2)))
         assert np.allclose(y, x, atol=1e-15)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(6, 16))
         pos = rng.integers(0, 10, size=(6, 2))
-        y = nn.rope2d(x, pos)
+        y = rope(x, pos)
         assert np.allclose(np.linalg.norm(y, axis=-1),
                            np.linalg.norm(x, axis=-1), atol=1e-12)
 
@@ -161,15 +165,15 @@ class TestRope:
         pairs = [((0, 0), (2, 3)), ((1, 4), (3, 7)), ((5, 1), (7, 4))]
         dots = []
         for p1, p2 in pairs:
-            rq = nn.rope2d(q[None, :], np.array([p1]))[0]
-            rk = nn.rope2d(k[None, :], np.array([p2]))[0]
+            rq = rope(q[None, :], np.array([p1]))[0]
+            rk = rope(k[None, :], np.array([p2]))[0]
             dots.append(float(rq @ rk))
         assert abs(dots[0] - dots[1]) < 1e-12
         assert abs(dots[0] - dots[2]) < 1e-12
 
     def test_indivisible_dim_rejected(self):
         with pytest.raises(ValueError):
-            nn.rope2d(np.zeros((1, 6)), np.zeros((1, 2)))
+            rope(np.zeros((1, 6)), np.zeros((1, 2)))
 
 
 class TestAdalnZero:
@@ -260,16 +264,6 @@ class TestConvPool:
             return y, lambda d: nn.conv2d_backward(d, cache)
 
         assert nn.grad_check(f, [x, w, b], rng=rng, max_coords=60) < 1e-6
-
-    def test_avgpool_grad(self):
-        rng = np.random.default_rng(17)
-        x = rng.normal(size=(2, 4, 4, 3))
-
-        def f(x):
-            y, cache = nn.avgpool2d(x, 2)
-            return y, lambda d: (nn.avgpool2d_backward(d, cache),)
-
-        assert nn.grad_check(f, [x], rng=rng) < 1e-6
 
     def test_space_depth_round_trip(self):
         rng = np.random.default_rng(18)

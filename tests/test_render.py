@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from occkit.core import (GROUND_BAND_Z, GridSpec, LabelSchema, Se3Pose,
+from occkit.core import (GROUND_BAND_Z, BevLayout, GridSpec, LabelSchema, Se3Pose,
                          SemanticOccupancyGrid)
 from occkit.render import (
     Camera,
@@ -270,7 +270,7 @@ class TestRaycast:
         rng = np.random.default_rng(3)
         spec = GridSpec(dims=(64, 64, 16), origin=(-12.8, -12.8, -3.2),
                         voxel_size=0.4)
-        cx, cy = spec.centers_xy()
+        cx, cy = BevLayout(64, 64, 0.4, 1).cell_centers()
         radius = np.sqrt(cx ** 2 + cy ** 2)
         ring = (radius > 10.0) & (radius < 12.4)
         labels = np.where(ring[:, :, None] & (rng.random(spec.dims) < 0.4),

@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from occkit import fileio, nn
 from occkit.vae import (
@@ -58,3 +61,53 @@ def test_loss_falls_when_overfitting_one_grid():
         nn.adam_step(params, grads, state, lr=1e-2)
     assert all(np.isfinite(losses))
     assert np.mean(losses[-3:]) < 0.5 * losses[0], losses
+
+
+@pytest.mark.parametrize("change", [
+    {"hidden": ()},
+    {"hidden": (8, 0, 8)},
+    {"hidden": (8, -8, 8)},
+    {"hidden": (6, 6, 6), "attn_heads": 4},
+    {"hidden": (8, 6, 8), "attn_heads": 4},  # attention runs at the last stage's 6
+    {"attn_heads": 0},
+    {"class_weights": (1.0,) * 5},
+    {"class_weights": ()},
+])
+def test_config_rejects_what_would_fail_later(change):
+    with pytest.raises(ValueError):
+        dataclasses.replace(CFG, **change)
+
+
+def test_config_accepts_the_attention_width():
+    cfg = dataclasses.replace(CFG, hidden=(6, 8, 6), attn_heads=4,
+                              class_weights=(1.0,) * 6)
+    init_vae_params(cfg, np.random.default_rng(0))
+
+
+def test_from_json_rejects_unknown_and_missing_keys():
+    obj = CFG.to_json()
+    assert VaeConfig.from_json(dict(obj)) == CFG
+    with pytest.raises(ValueError, match="unknown"):
+        VaeConfig.from_json({**obj, "dropout": 0.1})
+    del obj["kl_weight"]
+    with pytest.raises(ValueError, match="missing"):
+        VaeConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("class_weights", [None, (0.5, 1.0, 2.0, 1.5, 0.8, 1.2)])
+def test_train_step_loss_gradient_matches_finite_differences(class_weights):
+    # at the default 1e-4 a wrong KL gradient stays below the bound
+    cfg = dataclasses.replace(CFG, class_weights=class_weights, kl_weight=0.1)
+    params = init_vae_params(cfg, np.random.default_rng(8))
+    labels = tiny_batch(9, batch=2)
+    names = ["embed", "enc.stem.w", "enc.res1.c2.w", "enc.attn.row.wq",
+             "enc.attn.col.wo", "enc.head.w", "dec.in.w", "dec.attn.row.wk",
+             "dec.up0.w", "dec.res0.c1.w", "dec.out.w", "dec.out.b"]
+
+    def f(*tensors):
+        grads = nn.zero_grads(params)
+        loss = vae_train_step(params, grads, cfg, labels, np.random.default_rng(10))
+        return np.array(loss["loss"]), lambda d: [d * grads[n] for n in names]
+
+    tensors = [params[n] for n in names]
+    assert nn.grad_check(f, tensors, rng=np.random.default_rng(11), max_coords=6) < 1e-5
