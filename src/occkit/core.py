@@ -216,6 +216,8 @@ class PanopticVoxelGrid:
 
     def validate(self, schema: LabelSchema) -> None:
         s, i = panoptic_decode(self.labels)
+        if np.any((s != PANOPTIC_CLASS_MAX) & (s >= schema.num_classes)):
+            raise ValueError("class code without a semantic id below schema.num_classes")
         if np.any(i[schema.is_stuff_or_free(s)] != 0):
             raise ValueError("stuff/free voxel with nonzero instance id")
 

@@ -66,6 +66,17 @@ class TestPanopticCodec:
         grid.labels[...] = 9000
         grid.validate(small)
 
+    def test_codes_beyond_the_schema_rejected(self):
+        small = LabelSchema(num_classes=10, free_class=9)
+        spec = GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0)
+        for bad in (10000, 16000):
+            with pytest.raises(ValueError, match="num_classes"):
+                PanopticVoxelGrid(spec, np.array([[[4007, bad]]])).validate(small)
+        grid = PanopticVoxelGrid(spec, np.array([[[9000, 17000]]]))
+        grid.validate(small)
+        assert grid.to_semantic(small).labels.tolist() == [[[9, 9]]]
+        PanopticVoxelGrid(spec, np.array([[[10000, 16000]]])).validate(SCHEMA)
+
     def test_array_forms_match_the_scalar_forms(self):
         codes = np.arange(1, 18)
         for schema in (SCHEMA, LabelSchema.toy(), LabelSchema(num_classes=10, free_class=9)):

@@ -1,7 +1,10 @@
 """Source hygiene of the occkit modules, read with the stdlib ``ast``.
 
 Every module-level import is used by its module, and no module prints:
-output goes through return values and the callers' own reporting.
+output goes through return values and the callers' own reporting. No
+module scatters with ``np.add.at``: its unbuffered per-element loop was
+the hot spot each time it was measured, and ``np.bincount`` or a sort
+does the same work in one vectorised pass.
 """
 
 import ast
@@ -41,3 +44,11 @@ def test_no_print_calls(path):
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "print"]
     assert prints == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_add_at_scatter(path):
+    scatters = [node.lineno for node in ast.walk(parse(path))
+                if isinstance(node, ast.Attribute) and node.attr == "at"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "add"]
+    assert scatters == []

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from occkit import fileio, nn
+from occkit import fileio, losses, nn
 from occkit.vae import (
     VaeConfig,
     init_vae_params,
@@ -11,6 +11,8 @@ from occkit.vae import (
     vae_reconstruct,
     vae_train_step,
 )
+
+from test_nn import REFERENCE_LAYERS
 
 CFG = VaeConfig(grid_dims=(8, 8, 2), spatial_downsample=2, hidden=(8, 8, 8),
                 attn_heads=2)
@@ -46,6 +48,36 @@ def test_config_and_checkpoint_round_trip_is_bit_identical(tmp_path):
     out2 = vae_reconstruct(params2, cfg2, z2)
     assert out.shape == labels.shape
     assert out.tobytes() == out2.tobytes()
+
+
+def train_three_steps():
+    """Losses and gradients of three Adam steps on the tiny config, fixed noise."""
+    params = init_vae_params(CFG, np.random.default_rng(12))
+    state = nn.adam_init(params)
+    noise = np.random.default_rng(13)
+    labels = tiny_batch(14, batch=2)
+    steps = []
+    for _ in range(3):
+        grads = nn.zero_grads(params)
+        loss = vae_train_step(params, grads, CFG, labels, noise)
+        nn.adam_step(params, grads, state, lr=1e-2)
+        steps.append((loss, grads))
+    return steps
+
+
+def test_train_steps_bitwise_equal_to_reference_layers(monkeypatch):
+    fast = train_three_steps()
+    for name, layer in REFERENCE_LAYERS.items():
+        monkeypatch.setattr(nn, name, layer)
+    monkeypatch.setattr(losses, "sigmoid", REFERENCE_LAYERS["sigmoid"])
+    reference = train_three_steps()
+    for (loss, grads), (loss_ref, grads_ref) in zip(fast, reference):
+        assert loss.keys() == loss_ref.keys()
+        for key in loss:
+            assert np.float64(loss[key]).tobytes() == np.float64(loss_ref[key]).tobytes()
+        assert grads.keys() == grads_ref.keys()
+        for name in grads:
+            assert grads[name].tobytes() == grads_ref[name].tobytes(), name
 
 
 def test_loss_falls_when_overfitting_one_grid():
