@@ -25,10 +25,12 @@ def focal_loss(
     gamma: float = 2.0,
     alpha: float = 1.0,
     voxel_weights: np.ndarray | None = None,
+    probs: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean -alpha * (1 - p_t)^gamma * log(p_t), optionally per-voxel weighted.
 
-    gamma = 0, alpha = 1 reduces to plain cross-entropy.
+    gamma = 0, alpha = 1 reduces to plain cross-entropy. ``probs`` passes
+    in ``softmax(logits)`` when the caller has already computed it.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -39,7 +41,7 @@ def focal_loss(
     if t.size and (t.min() < 0 or t.max() >= flat.shape[1]):
         raise ValueError("target class id out of range")
     n = len(flat)
-    p = softmax(flat)
+    p = softmax(flat) if probs is None else probs.reshape(flat.shape)
     idx = np.arange(n)
     # keep 1 - p_t strictly positive so the gamma > 0 power stays finite
     pt = np.clip(p[idx, t], 1e-300, np.nextafter(1.0, 0.0))

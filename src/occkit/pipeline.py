@@ -53,32 +53,30 @@ class EgoShift:
 def voxelize_majority(
     cloud: LabeledPointCloud, spec: GridSpec, schema: LabelSchema
 ) -> PanopticVoxelGrid:
-    """Majority-vote voxelization in a compacted label space.
+    """Majority-vote voxelization over sorted (voxel, label) keys.
 
     Each voxel takes the most frequent panoptic label among the points
-    inside it; ties break toward the smaller label. Votes are counted
-    over (occupied voxel, distinct label) pairs only, so memory stays
-    O(occupied voxels x distinct labels). Points outside the grid are
-    dropped; voxels without points stay free.
+    inside it; ties break toward the smaller label. Votes are counted as
+    runs of sorted packed (voxel, compacted label) keys, so memory stays
+    O(points) whatever the number of distinct labels. Points outside the
+    grid are dropped; voxels without points stay free.
     """
     labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
     if len(cloud):
         idx = spec.world_to_index(cloud.points)
         keep = spec.index_in_bounds(idx)
-        idx, pts_labels = idx[keep], cloud.labels[keep]
-        if len(idx):
-            dims = np.asarray(spec.dims)
-            flat = (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
-            # compact both axes of the vote table
-            vox_ids, vox_inv = np.unique(flat, return_inverse=True)
-            lab_ids, lab_inv = np.unique(pts_labels, return_inverse=True)
+        dims = np.asarray(spec.dims)
+        flat = ((idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2])[keep]
+        del idx
+        if len(flat):
+            lab_ids, lab_inv = np.unique(cloud.labels[keep], return_inverse=True)
             num_labels = len(lab_ids)
-            counts = np.bincount(vox_inv * num_labels + lab_inv,
-                                 minlength=len(vox_ids) * num_labels)
-            counts = counts.reshape(len(vox_ids), num_labels)
-            # lab_ids is sorted, argmax returns the first max: smaller label wins ties
-            winners = lab_ids[np.argmax(counts, axis=1)]
-            labels.reshape(-1)[vox_ids] = winners
+            keys, counts = np.unique(flat * num_labels + lab_inv, return_counts=True)
+            vox = keys // num_labels
+            starts = np.flatnonzero(np.r_[True, vox[1:] != vox[:-1]])
+            # stable lexsort, labels ascending per voxel: ties go to the smaller label
+            win = np.lexsort((-counts, vox))[starts]
+            labels.reshape(-1)[vox[win]] = lab_ids[keys[win] % num_labels]
     grid = PanopticVoxelGrid(spec, labels)
     grid.validate(schema)
     return grid

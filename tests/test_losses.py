@@ -42,6 +42,17 @@ class TestFocal:
         with pytest.raises(ValueError):
             losses.focal_loss(np.array([[np.inf, 0.0]]), np.array([0]))
 
+    def test_given_probs_bitwise_equal(self):
+        # the softmax of the whole N-d logits, passed in, matches the one of the rows
+        rng = np.random.default_rng(2)
+        logits = rng.normal(size=(2, 8, 8, 4, 6)) * 3.0
+        targets = rng.integers(0, 6, size=(2, 8, 8, 4))
+        w = rng.uniform(0.5, 2.0, size=targets.size)
+        loss, d = losses.focal_loss(logits, targets, voxel_weights=w)
+        loss_p, d_p = losses.focal_loss(logits, targets, voxel_weights=w,
+                                        probs=losses.softmax(logits))
+        assert loss == loss_p and d.tobytes() == d_p.tobytes()
+
 
 class TestLovasz:
     def test_one_hot_correct_is_zero(self):

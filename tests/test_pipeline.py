@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -10,6 +12,7 @@ from occkit.core import (
     PanopticVoxelGrid,
     Se3Pose,
     SemanticOccupancyGrid,
+    panoptic_encode,
 )
 from occkit.pipeline import (
     EgoShift,
@@ -422,6 +425,64 @@ class TestVoxelizeOracle:
                                       rng.choice([1001, 2001, 2002, 11000], size=n))
             assert_bitwise(voxelize_majority(cloud, SPEC, SCHEMA).labels,
                            reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+
+    def test_many_labels_with_wide_ties(self):
+        # hundreds of distinct thing labels, so the packed key's label stride is
+        # large; 3-6 labels tie at equal counts in some voxels, others score lower
+        rng = np.random.default_rng(36)
+        pool = np.array([panoptic_encode(c, i, SCHEMA)
+                         for c in (1, 2, 4, 7, 10) for i in range(0, 1000, 7)])
+        num_cells = int(np.prod(SPEC.dims))
+        for trial in range(20):
+            cells = rng.permutation(num_cells)
+            tied = cells[:int(rng.integers(4, 24))]
+            single = cells[len(tied):len(tied) + int(rng.integers(100, 200))]
+            pts, labs, expect = [], [], {}
+            for cell in tied:
+                center = SPEC.index_to_center(np.unravel_index(cell, SPEC.dims))
+                count = int(rng.integers(1, 4))
+                winners = rng.choice(pool, size=int(rng.integers(3, 7)), replace=False)
+                votes = [(lab, count) for lab in winners]
+                if count > 1:
+                    losers = np.setdiff1d(pool, winners)
+                    votes.append((rng.choice(losers), count - 1))
+                for lab, n in votes:
+                    pts.append(center + rng.uniform(-0.19, 0.19, size=(n, 3)))
+                    labs.append(np.full(n, lab))
+                expect[cell] = winners.min()
+            centers = SPEC.index_to_center(np.stack(np.unravel_index(single, SPEC.dims), 1))
+            pts.append(centers)
+            labs.append(rng.choice(pool, size=len(single)))
+            outside = rng.uniform(-3.0, 3.0, size=(500, 3))
+            outside = outside[~SPEC.index_in_bounds(SPEC.world_to_index(outside))]
+            pts.append(outside)
+            labs.append(rng.choice(pool, size=len(outside)))
+            pts, labs = np.concatenate(pts), np.concatenate(labs)
+            perm = rng.permutation(len(pts))
+            cloud = LabeledPointCloud(pts[perm], labs[perm])
+            grid = voxelize_majority(cloud, SPEC, SCHEMA).labels
+            assert_bitwise(grid, reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+            for cell, lab in expect.items():
+                assert grid.reshape(-1)[cell] == lab
+
+    def test_peak_memory_independent_of_label_count(self):
+        # 4000 points, each alone in a voxel with its own label: a dense
+        # (voxels x labels) int64 vote table would take 4000 * 4000 * 8 B
+        spec = GridSpec(dims=(32, 32, 8), origin=(0.0, 0.0, 0.0), voxel_size=0.5)
+        rng = np.random.default_rng(37)
+        cells = rng.choice(int(np.prod(spec.dims)), size=4000, replace=False)
+        pts = spec.index_to_center(np.stack(np.unravel_index(cells, spec.dims), 1))
+        labs = rng.permutation([panoptic_encode(c, i, SCHEMA)
+                                for c in (1, 2, 3, 4) for i in range(1000)])
+        cloud = LabeledPointCloud(pts, labs)
+        tracemalloc.start()
+        try:
+            grid = voxelize_majority(cloud, spec, SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert_bitwise(grid.labels, reference_voxelize_majority(cloud, spec, SCHEMA).labels)
 
 
 class TestRemoveOracle:
