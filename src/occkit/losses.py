@@ -20,28 +20,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def focal_loss(
-    logits: np.ndarray,
+    probs: np.ndarray,
     targets: np.ndarray,
     gamma: float = 2.0,
     alpha: float = 1.0,
     voxel_weights: np.ndarray | None = None,
-    probs: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean -alpha * (1 - p_t)^gamma * log(p_t), optionally per-voxel weighted.
 
-    gamma = 0, alpha = 1 reduces to plain cross-entropy. ``probs`` passes
-    in ``softmax(logits)`` when the caller has already computed it.
+    Takes ``probs = softmax(logits)`` and returns the gradient with respect to
+    those logits. gamma = 0, alpha = 1 reduces to plain cross-entropy.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    flat = logits.reshape(-1, logits.shape[-1])
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("non-finite probabilities")
+    p = probs.reshape(-1, probs.shape[-1])
     t = np.asarray(targets).reshape(-1)
-    if t.size and (t.min() < 0 or t.max() >= flat.shape[1]):
+    if t.size and (t.min() < 0 or t.max() >= p.shape[1]):
         raise ValueError("target class id out of range")
-    n = len(flat)
-    p = softmax(flat) if probs is None else probs.reshape(flat.shape)
+    n = len(p)
     idx = np.arange(n)
     # keep 1 - p_t strictly positive so the gamma > 0 power stays finite
     pt = np.clip(p[idx, t], 1e-300, np.nextafter(1.0, 0.0))
@@ -58,7 +56,7 @@ def focal_loss(
     coeff = (w / n) * dfdp * pt  # chain through softmax: dp_t/dz_j = p_t (delta - p_j)
     dlogits = -coeff[:, None] * p
     dlogits[idx, t] += coeff
-    return loss, dlogits.reshape(logits.shape)
+    return loss, dlogits.reshape(probs.shape)
 
 
 def _lovasz_grad(gt_sorted: np.ndarray) -> np.ndarray:

@@ -320,8 +320,8 @@ def vae_train_step(
     if cfg.class_weights is not None:
         voxel_weights = np.asarray(cfg.class_weights)[labels.reshape(-1)]
     probs = softmax(logits)
-    l_focal, dlogits = focal_loss(logits, labels, gamma=cfg.focal_gamma,
-                                  voxel_weights=voxel_weights, probs=probs)
+    l_focal, dlogits = focal_loss(probs, labels, gamma=cfg.focal_gamma,
+                                  voxel_weights=voxel_weights)
     l_lovasz, dprobs = lovasz_softmax(probs, labels)
     dlogits = dlogits + cfg.lovasz_weight * nn.softmax_backward(dprobs, probs)
     l_kl, dmu_kl, dlogvar_kl = kl_standard_normal(mu, logvar)

@@ -10,19 +10,19 @@ class TestFocal:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(40, 5))
         targets = rng.integers(0, 5, size=40)
-        loss, _ = losses.focal_loss(logits, targets, gamma=0.0, alpha=1.0)
         p = losses.softmax(logits)
+        loss, _ = losses.focal_loss(p, targets, gamma=0.0, alpha=1.0)
         ce = -np.log(p[np.arange(40), targets]).mean()
         assert abs(loss - ce) < 1e-12
 
     def test_confident_prediction_vanishes(self):
         logits = np.array([[30.0, 0.0]])
-        loss, _ = losses.focal_loss(logits, np.array([0]), gamma=2.0)
+        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]), gamma=2.0)
         assert loss < 1e-10
 
     def test_half_probability_closed_form(self):
         logits = np.array([[0.0, 0.0]])
-        loss, _ = losses.focal_loss(logits, np.array([0]), gamma=2.0, alpha=1.0)
+        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]), gamma=2.0, alpha=1.0)
         assert abs(loss - 0.25 * np.log(2.0)) < 1e-12
 
     def test_grad(self):
@@ -32,7 +32,7 @@ class TestFocal:
         w = rng.uniform(0.5, 2.0, size=6)
 
         def f(logits):
-            loss, d = losses.focal_loss(logits, targets, gamma=2.0,
+            loss, d = losses.focal_loss(losses.softmax(logits), targets, gamma=2.0,
                                         alpha=0.7, voxel_weights=w)
             return np.asarray(loss), lambda dd: (dd * d,)
 
@@ -40,18 +40,19 @@ class TestFocal:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            losses.focal_loss(np.array([[np.inf, 0.0]]), np.array([0]))
+            losses.focal_loss(np.array([[np.nan, 1.0]]), np.array([0]))
 
-    def test_given_probs_bitwise_equal(self):
-        # the softmax of the whole N-d logits, passed in, matches the one of the rows
+    def test_nd_probs_match_rows_bitwise(self):
+        # the softmax of the whole N-d logits, as vae_train_step passes it,
+        # gives the same loss and gradient bits as the softmax of the rows
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(2, 8, 8, 4, 6)) * 3.0
         targets = rng.integers(0, 6, size=(2, 8, 8, 4))
         w = rng.uniform(0.5, 2.0, size=targets.size)
-        loss, d = losses.focal_loss(logits, targets, voxel_weights=w)
-        loss_p, d_p = losses.focal_loss(logits, targets, voxel_weights=w,
-                                        probs=losses.softmax(logits))
-        assert loss == loss_p and d.tobytes() == d_p.tobytes()
+        loss, d = losses.focal_loss(losses.softmax(logits), targets, voxel_weights=w)
+        loss_r, d_r = losses.focal_loss(losses.softmax(logits.reshape(-1, 6)),
+                                        targets, voxel_weights=w)
+        assert loss == loss_r and d.tobytes() == d_r.tobytes()
 
 
 class TestLovasz:
