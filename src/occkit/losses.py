@@ -14,9 +14,28 @@ from .nn import sigmoid
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # a chain of maxima over the class columns is exact in any order, and
+    # much faster than max(axis=-1) over a short class axis; the sum stays a
+    # reduction: a column chain matches its pairwise order only below 8 classes
+    row_max = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        row_max = np.maximum(row_max, logits[..., j])
+    shifted = logits - row_max[..., None]
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _rows_and_targets(
+    probs: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, C) probability rows and their N class ids, checked."""
+    p = probs.reshape(-1, probs.shape[-1])
+    t = np.asarray(targets).reshape(-1)
+    if len(t) != len(p):
+        raise ValueError("need one target per probability row")
+    if t.size and (t.min() < 0 or t.max() >= p.shape[1]):
+        raise ValueError("target class id out of range")
+    return p, t
 
 
 def focal_loss(
@@ -35,10 +54,7 @@ def focal_loss(
         raise ValueError("gamma must be >= 0")
     if not np.all(np.isfinite(probs)):
         raise ValueError("non-finite probabilities")
-    p = probs.reshape(-1, probs.shape[-1])
-    t = np.asarray(targets).reshape(-1)
-    if t.size and (t.min() < 0 or t.max() >= p.shape[1]):
-        raise ValueError("target class id out of range")
+    p, t = _rows_and_targets(probs, targets)
     n = len(p)
     idx = np.arange(n)
     # keep 1 - p_t strictly positive so the gamma > 0 power stays finite
@@ -74,21 +90,34 @@ def lovasz_softmax(
 ) -> tuple[float, np.ndarray]:
     """Lovász extension of the Jaccard loss, averaged over present classes.
 
-    The gradient is exact wherever the sorted-error permutation is
-    locally constant (everywhere except sort ties).
+    Errors are sorted in descending order, and equal errors keep their
+    index order, as a stable sort leaves them. The result does not depend
+    on the algorithm numpy uses to sort. The gradient is exact wherever
+    the sorted-error permutation is locally constant (everywhere except
+    sort ties).
     """
-    flat = probs.reshape(-1, probs.shape[-1])
-    t = np.asarray(targets).reshape(-1)
-    if np.max(np.abs(flat.sum(axis=-1) - 1.0)) > 1e-6:
+    flat, t = _rows_and_targets(probs, targets)
+    if not (np.max(np.abs(flat.sum(axis=-1) - 1.0)) <= 1e-6):
         raise ValueError("probability rows must sum to 1")
-    present = np.unique(t)
+    n = len(flat)
+    present = np.flatnonzero(np.bincount(t, minlength=flat.shape[1]))
     dprobs = np.zeros_like(flat)
     loss = 0.0
     for c in present:
         fg = (t == c).astype(np.float64)
         diff = fg - flat[:, c]
         errors = np.abs(diff)
-        perm = np.argsort(-errors, kind="stable")
+        # Any sort, then ties put back in index order: run ids number the
+        # distinct sorted values, and the keys run * n + index are distinct
+        # and ordered by (value, index). Needs n * n < 2**63. Sorting the
+        # keys moves none across a run, so position k keeps run[k] * n.
+        neg = -errors
+        p0 = np.argsort(neg)
+        s = neg[p0]
+        run = np.zeros(n, dtype=np.int64)
+        np.cumsum(s[1:] != s[:-1], out=run[1:])
+        run *= n
+        perm = np.sort(run + p0) - run
         grad = _lovasz_grad(fg[perm])
         loss += float(errors[perm] @ grad)
         derr = np.empty_like(errors)

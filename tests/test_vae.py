@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from occkit import fileio, losses, nn
+from occkit import fileio, losses, nn, vae
 from occkit.vae import (
     VaeConfig,
     init_vae_params,
@@ -12,6 +12,7 @@ from occkit.vae import (
     vae_train_step,
 )
 
+from test_losses import reference_lovasz_softmax, reference_softmax
 from test_nn import REFERENCE_LAYERS
 
 CFG = VaeConfig(grid_dims=(8, 8, 2), spatial_downsample=2, hidden=(8, 8, 8),
@@ -70,6 +71,8 @@ def test_train_steps_bitwise_equal_to_reference_layers(monkeypatch):
     for name, layer in REFERENCE_LAYERS.items():
         monkeypatch.setattr(nn, name, layer)
     monkeypatch.setattr(losses, "sigmoid", REFERENCE_LAYERS["sigmoid"])
+    monkeypatch.setattr(vae, "softmax", reference_softmax)
+    monkeypatch.setattr(vae, "lovasz_softmax", reference_lovasz_softmax)
     reference = train_three_steps()
     for (loss, grads), (loss_ref, grads_ref) in zip(fast, reference):
         assert loss.keys() == loss_ref.keys()
