@@ -149,8 +149,11 @@ class GridSpec:
     def __post_init__(self):
         if any(d <= 0 for d in self.dims):
             raise ValueError("grid dims must be positive")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        # chained comparisons are False for NaN, so they reject it too
+        if not 0 < self.voxel_size < np.inf:
+            raise ValueError("voxel_size must be positive and finite")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
 
     @property
     def num_voxels(self) -> int:
@@ -244,6 +247,8 @@ class Se3Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation 3-vector")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise ValueError("pose must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
@@ -269,11 +274,6 @@ class Se3Pose:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def compose(self, other: "Se3Pose") -> "Se3Pose":
-        """self after other: (self ∘ other)(x) = self(other(x))."""
-        return Se3Pose(self.rotation @ other.rotation,
-                       self.rotation @ other.translation + self.translation)
-
     def inverse(self) -> "Se3Pose":
         rt = self.rotation.T
         return Se3Pose(rt, -rt @ self.translation)
@@ -290,8 +290,8 @@ class OrientedBox:
     instance_id: int = 0
 
     def __post_init__(self):
-        if any(s <= 0 for s in self.size):
-            raise ValueError("box size components must be positive")
+        if not all(0 < s < np.inf for s in self.size):
+            raise ValueError("box size components must be positive and finite")
 
     def pose(self) -> Se3Pose:
         return Se3Pose.from_yaw(self.yaw, self.center)
@@ -317,8 +317,8 @@ class BevLayout:
                  channels: int, bits: np.ndarray | None = None):
         if channels > self.MAX_CHANNELS:
             raise ValueError("at most 16 channels fit the per-cell bitmask")
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution < np.inf:
+            raise ValueError("resolution must be positive and finite")
         self.width = int(width)
         self.height = int(height)
         self.resolution = float(resolution)

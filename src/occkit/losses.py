@@ -1,4 +1,4 @@
-"""Reconstruction and flow-matching objectives with exact gradients.
+"""Occupancy VAE objectives with exact gradients.
 
 Every loss returns ``(scalar, gradient(s))`` computed in float64; the
 gradients are verified against central finite differences in the test
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BevLayout
 from .nn import sigmoid
 
 
@@ -42,13 +41,12 @@ def focal_loss(
     probs: np.ndarray,
     targets: np.ndarray,
     gamma: float = 2.0,
-    alpha: float = 1.0,
     voxel_weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean -alpha * (1 - p_t)^gamma * log(p_t), optionally per-voxel weighted.
+    """Mean -(1 - p_t)^gamma * log(p_t), optionally per-voxel weighted.
 
     Takes ``probs = softmax(logits)`` and returns the gradient with respect to
-    those logits. gamma = 0, alpha = 1 reduces to plain cross-entropy.
+    those logits. gamma = 0 reduces to plain cross-entropy.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -61,14 +59,14 @@ def focal_loss(
     pt = np.clip(p[idx, t], 1e-300, np.nextafter(1.0, 0.0))
     one_m = 1.0 - pt
     log_pt = np.log(pt)
-    per_voxel = -alpha * one_m ** gamma * log_pt
+    per_voxel = -(one_m ** gamma) * log_pt
     w = np.ones(n) if voxel_weights is None else np.asarray(voxel_weights).reshape(-1)
     loss = float((w * per_voxel).sum() / n)
 
     if gamma > 0:
-        dfdp = alpha * (gamma * one_m ** (gamma - 1.0) * log_pt - one_m ** gamma / pt)
+        dfdp = gamma * one_m ** (gamma - 1.0) * log_pt - one_m ** gamma / pt
     else:
-        dfdp = -alpha / pt
+        dfdp = -1.0 / pt
     coeff = (w / n) * dfdp * pt  # chain through softmax: dp_t/dz_j = p_t (delta - p_j)
     dlogits = -coeff[:, None] * p
     dlogits[idx, t] += coeff
@@ -138,40 +136,6 @@ def kl_standard_normal(
     return loss, dmu, dlogvar
 
 
-def flow_interpolate(z: np.ndarray, eps: np.ndarray, tau) -> np.ndarray:
-    """Straight-line path between data (tau=0) and noise (tau=1)."""
-    tau = np.asarray(tau, dtype=np.float64)
-    return (1.0 - tau) * z + tau * eps
-
-
-def velocity_target(z: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Constant velocity of the straight path: d/dtau of the interpolant."""
-    return eps - z
-
-
-def flow_matching_loss(
-    v_pred: np.ndarray,
-    v_target: np.ndarray,
-    token_weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Weighted MSE; weights are normalized to mean 1 before use."""
-    if v_pred.shape != v_target.shape:
-        raise ValueError("shape mismatch")
-    err = v_pred - v_target
-    if token_weights is None:
-        loss = float((err ** 2).mean())
-        return loss, 2.0 * err / err.size
-    w = np.asarray(token_weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    mean = w.mean()
-    if mean == 0.0:
-        raise ValueError("all-zero weights")
-    wn = np.broadcast_to((w / mean), err.shape) if w.shape != err.shape else w / mean
-    loss = float((wn * err ** 2).mean())
-    return loss, 2.0 * wn * err / err.size
-
-
 def sample_logit_normal(
     rng: np.random.Generator,
     location: float = 0.0,
@@ -183,28 +147,3 @@ def sample_logit_normal(
         raise ValueError("scale must be positive")
     draw = rng.normal(location, scale, size=size)
     return np.clip(sigmoid(np.asarray(draw, dtype=np.float64)), 1e-12, 1.0 - 1e-12)
-
-
-def small_object_weights(
-    layout: BevLayout,
-    rare_channels,
-    beta: float = 4.0,
-    patch_size: int = 8,
-) -> np.ndarray:
-    """Per-token weights 1 + beta * (rare-channel coverage of the patch).
-
-    Tokens tile the layout in ``patch_size`` x ``patch_size`` cells;
-    weight is 1 wherever no rare-channel bit appears.
-    """
-    if layout.width % patch_size or layout.height % patch_size:
-        raise ValueError("patch grid must tile the layout")
-    mask = np.uint16(0)
-    for c in rare_channels:
-        if not (0 <= c < layout.channels):
-            raise ValueError(f"rare channel {c} out of range")
-        mask |= np.uint16(1 << c)
-    rare = (layout.bits & mask) != 0
-    gx = layout.width // patch_size
-    gy = layout.height // patch_size
-    frac = rare.reshape(gx, patch_size, gy, patch_size).mean(axis=(1, 3))
-    return 1.0 + beta * frac

@@ -2,16 +2,17 @@
 
 Every forward returns ``(out, cache)``; the matching ``*_backward``
 consumes ``(dout, cache)`` and returns exact gradients. The layer menu
-is fixed (linear, layernorm, silu/swiglu, masked multi-head attention,
-2-axis rotary embedding, convolution, embedding lookup) and each piece
-is verifiable by central finite differences at 64-bit precision. There
-is no autodiff graph: models compose these calls and mirror them by
-hand in reverse. The vectorised layers do the float operations of plain
-loops in the same order; ``tests/test_nn.py`` keeps those as oracles.
+is what the occupancy VAE uses: linear, layernorm, silu, multi-head
+attention, convolution with space/depth reshuffles, and embedding
+lookup, plus Adam and gradient clipping. Each piece is verifiable by
+central finite differences at 64-bit precision. There is no autodiff
+graph: models compose these calls and mirror them by hand in reverse.
+The vectorised layers do the float operations of plain loops in the
+same order; ``tests/test_nn.py`` keeps those as oracles.
 
 Randomness is drawn from named Philox streams derived from one root
 seed, so every training run is reproducible across platforms:
-``stream(seed, "dit/init")`` always yields the same sequence.
+``stream(seed, "vae/init")`` always yields the same sequence.
 """
 
 from __future__ import annotations
@@ -56,26 +57,6 @@ def silu_backward(dout: np.ndarray, cache) -> np.ndarray:
     return dout * (s * (1.0 + x * (1.0 - s)))
 
 
-def swiglu(h: np.ndarray):
-    """Gated activation on a pre-split hidden: silu(gate) * value.
-
-    The last axis holds [gate | value] halves.
-    """
-    if h.shape[-1] % 2:
-        raise ValueError("hidden dim must split into two halves")
-    f = h.shape[-1] // 2
-    g, v = h[..., :f], h[..., f:]
-    sg, sg_cache = silu(g)
-    return sg * v, (sg, v, sg_cache)
-
-
-def swiglu_backward(dout: np.ndarray, cache) -> np.ndarray:
-    sg, v, sg_cache = cache
-    dg = silu_backward(dout * v, sg_cache)
-    dv = dout * sg
-    return np.concatenate([dg, dv], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Linear / normalization
 # ---------------------------------------------------------------------------
@@ -116,47 +97,7 @@ def layernorm_backward(dout: np.ndarray, cache) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rotary position embedding over two grid axes
-# ---------------------------------------------------------------------------
-
-
-def rope2d_angles(positions: np.ndarray, head_dim: int, base: float = 10000.0):
-    """Per-pair cos/sin tables for a 2-axis rotary embedding.
-
-    positions: (S, 2) integer or float grid coordinates. The first half
-    of each head rotates with axis-0 positions, the second half with
-    axis-1, each using the standard geometric frequency ladder. Returns
-    (cos, sin) of shape (S, head_dim // 2).
-    """
-    if head_dim % 4:
-        raise ValueError("head dim must be divisible by 4")
-    positions = np.asarray(positions, dtype=np.float64)
-    half = head_dim // 2
-    n_freq = half // 2
-    freqs = base ** (-2.0 * np.arange(n_freq) / half)
-    ang_x = positions[:, 0:1] * freqs[None, :]
-    ang_y = positions[:, 1:2] * freqs[None, :]
-    angles = np.concatenate([ang_x, ang_y], axis=1)
-    return np.cos(angles), np.sin(angles)
-
-
-def rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate interleaved pairs of the last axis; x is (..., S, head_dim)."""
-    shape = x.shape
-    pairs = x.reshape(*shape[:-1], shape[-1] // 2, 2)
-    x0, x1 = pairs[..., 0], pairs[..., 1]
-    y0 = x0 * cos - x1 * sin
-    y1 = x0 * sin + x1 * cos
-    return np.stack([y0, y1], axis=-1).reshape(shape)
-
-
-def rope_apply_backward(dout: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # rotations are orthogonal: transpose = rotate by the negated angle
-    return rope_apply(dout, cos, -sin)
-
-
-# ---------------------------------------------------------------------------
-# Masked multi-head attention
+# Multi-head attention
 # ---------------------------------------------------------------------------
 
 
@@ -175,57 +116,34 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*batch, s, h * dh)
 
 
-def masked_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    heads: int,
-    mask: np.ndarray | None = None,
-    rope: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """Softmax attention restricted to an allowed-key mask.
+def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
+    """Multi-head softmax attention of every query over every key.
 
-    q, k, v: (..., S, D) with D divisible by ``heads``. ``mask`` is a
-    boolean (S_q, S_k) table (True = may attend) broadcast over batch
-    and heads; disallowed keys receive exactly zero weight. ``rope`` is
-    an optional (cos, sin) pair applied to q and k per head.
+    q, k, v: (..., S, D) with D divisible by ``heads``. There is no mask;
+    the name stays because the benchmark reports this layer's time as
+    ``nn.masked_attention.s``.
     """
     if q.shape[-1] % heads:
         raise ValueError("feature dim must be divisible by heads")
-    if mask is not None and not mask.any(axis=-1).all():
-        raise ValueError("a query row allows zero keys")
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-    if rope is not None:
-        cos, sin = rope
-        qh = rope_apply(qh, cos, sin)
-        kh = rope_apply(kh, cos, sin)
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
     m = scores.max(axis=-1, keepdims=True)
     e = np.exp(scores - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
     attn = e / e.sum(axis=-1, keepdims=True)
     out = attn @ vh
-    cache = (qh, kh, vh, attn, heads, scale, rope)
+    cache = (qh, kh, vh, attn, heads, scale)
     return _merge_heads(out), cache
 
 
 def masked_attention_backward(dout: np.ndarray, cache):
-    qh, kh, vh, attn, heads, scale, rope = cache
+    qh, kh, vh, attn, heads, scale = cache
     doh = _split_heads(dout, heads)
     dvh = attn.swapaxes(-1, -2) @ doh
     dattn = doh @ vh.swapaxes(-1, -2)
-    # softmax rows: disallowed entries have attn == 0, so they stay zero
     ds = softmax_backward(dattn, attn)
     dqh = (ds @ kh) * scale
     dkh = (ds.swapaxes(-1, -2) @ qh) * scale
-    if rope is not None:
-        cos, sin = rope
-        dqh = rope_apply_backward(dqh, cos, sin)
-        dkh = rope_apply_backward(dkh, cos, sin)
     return _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
 
 
@@ -305,76 +223,6 @@ def embedding_backward(dout: np.ndarray, cache) -> np.ndarray:
                      for col in dout.reshape(-1, shape[-1]).T], axis=-1)
 
 
-def sinusoidal_embedding(t: np.ndarray, dim: int, max_period: float = 10000.0) -> np.ndarray:
-    """Classic sin/cos features of a scalar signal; t is (...,)."""
-    t = np.asarray(t, dtype=np.float64)
-    half = dim // 2
-    freqs = np.exp(-math.log(max_period) * np.arange(half) / half)
-    args = t[..., None] * freqs
-    emb = np.concatenate([np.sin(args), np.cos(args)], axis=-1)
-    if dim % 2:
-        emb = np.concatenate([emb, np.zeros((*t.shape, 1))], axis=-1)
-    return emb
-
-
-# ---------------------------------------------------------------------------
-# AdaLN-Zero modulation
-# ---------------------------------------------------------------------------
-
-
-def adaln_zero(x: np.ndarray, cond: np.ndarray, w_mod: np.ndarray, b_mod: np.ndarray,
-               sublayer: Callable[[np.ndarray], tuple[np.ndarray, object]]):
-    """Gated residual sub-layer: x + gate * F(norm(x) * (1 + scale) + shift).
-
-    ``cond`` projects through (w_mod, b_mod) to the concatenated
-    (shift, scale, gate) triple; zero-initialized projections make the
-    whole block the identity. ``sublayer`` follows the (out, cache)
-    convention; its backward must be applied by the caller via the
-    returned cache.
-    """
-    d = x.shape[-1]
-    if w_mod.shape[1] != 3 * d:
-        raise ValueError("modulation projection must emit 3 * dim")
-    mod, mod_cache = linear(cond, w_mod, b_mod)
-    shift, scale, gate = mod[..., :d], mod[..., d:2 * d], mod[..., 2 * d:]
-    xn, ln_cache = layernorm(x)
-    h = xn * (1.0 + scale) + shift
-    f_out, f_cache = sublayer(h)
-    out = x + gate * f_out
-    cache = (mod_cache, mod.shape, ln_cache, xn, scale, gate, f_out, f_cache)
-    return out, cache
-
-
-def reduce_to_shape(d: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over axes that were broadcast in the forward pass."""
-    while d.ndim > len(shape):
-        d = d.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and d.shape[ax] != 1:
-            d = d.sum(axis=ax, keepdims=True)
-    return d
-
-
-def adaln_zero_backward(dout: np.ndarray, cache, sublayer_backward):
-    """Returns (dx, dcond, dw_mod, db_mod, sublayer_param_grads).
-
-    ``sublayer_backward(dF, f_cache)`` must return a tuple whose first
-    element is the gradient w.r.t. the sub-layer input.
-    """
-    mod_cache, mod_shape, ln_cache, xn, scale, gate, f_out, f_cache = cache
-    dgate = dout * f_out
-    df_out = dout * gate
-    dh, *f_param_grads = sublayer_backward(df_out, f_cache)
-    dshift = dh
-    dscale = dh * xn
-    dxn = dh * (1.0 + scale)
-    dx = layernorm_backward(dxn, ln_cache) + dout
-    dmod = np.concatenate([dshift, dscale, dgate], axis=-1)
-    dmod = reduce_to_shape(dmod, mod_shape)
-    dcond, dw_mod, db_mod = linear_backward(dmod, mod_cache)
-    return dx, dcond, dw_mod, db_mod, f_param_grads
-
-
 # ---------------------------------------------------------------------------
 # Parameter utilities
 # ---------------------------------------------------------------------------
@@ -422,10 +270,8 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: Mapping[str, float] | None = None,
 ) -> None:
-    """Adam with decoupled weight decay and optional per-parameter LR scales."""
+    """One in-place Adam update of every parameter."""
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - beta1 ** t
@@ -438,18 +284,7 @@ def adam_step(
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        step_lr = lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        if weight_decay:
-            p -= step_lr * weight_decay * p
-        p -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-def ema_update(avg: dict[str, np.ndarray], params: Mapping[str, np.ndarray],
-               decay: float) -> None:
-    """In-place exponential moving average of a parameter set."""
-    for name, p in params.items():
-        avg[name] *= decay
-        avg[name] += (1.0 - decay) * p
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------

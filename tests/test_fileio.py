@@ -132,6 +132,25 @@ def test_occg_truncated_and_oversized(tmp_path):
         fileio.load_occg(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_occg_non_finite_header_rejected(tmp_path, bad):
+    path = tmp_path / "g.occg"
+    for voxel, oz in ((bad, 0.0), (0.4, bad)):
+        header = b"OCCG" + struct.pack("<IIII", 1, 2, 2, 2)
+        header += struct.pack("<ffff", voxel, 0.0, 0.0, oz) + struct.pack("<B", 1)
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(ValueError, match="finite"):
+            fileio.load_occg(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bevl_non_finite_header_rejected(tmp_path, bad):
+    path = tmp_path / "l.bevl"
+    path.write_bytes(b"BEVL" + struct.pack("<IIfB", 2, 2, bad, 3) + bytes(8))
+    with pytest.raises(ValueError, match="finite"):
+        fileio.load_bevl(path)
+
+
 def test_pkpt_truncated_and_oversized(tmp_path):
     path = tmp_path / "c.pkpt"
     fileio.save_pkpt(path, {"w": np.ones((2, 3)), "b": np.zeros(3)})

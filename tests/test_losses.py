@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from occkit import losses, nn
-from occkit.core import BevLayout
 
 
 def reference_softmax(logits):
@@ -81,7 +80,7 @@ class TestFocal:
         logits = rng.normal(size=(40, 5))
         targets = rng.integers(0, 5, size=40)
         p = losses.softmax(logits)
-        loss, _ = losses.focal_loss(p, targets, gamma=0.0, alpha=1.0)
+        loss, _ = losses.focal_loss(p, targets, gamma=0.0)
         ce = -np.log(p[np.arange(40), targets]).mean()
         assert abs(loss - ce) < 1e-12
 
@@ -92,7 +91,7 @@ class TestFocal:
 
     def test_half_probability_closed_form(self):
         logits = np.array([[0.0, 0.0]])
-        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]), gamma=2.0, alpha=1.0)
+        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]), gamma=2.0)
         assert abs(loss - 0.25 * np.log(2.0)) < 1e-12
 
     def test_grad(self):
@@ -103,7 +102,7 @@ class TestFocal:
 
         def f(logits):
             loss, d = losses.focal_loss(losses.softmax(logits), targets, gamma=2.0,
-                                        alpha=0.7, voxel_weights=w)
+                                        voxel_weights=w)
             return np.asarray(loss), lambda dd: (dd * d,)
 
         assert nn.grad_check(f, [logits], rng=rng) < 1e-6
@@ -242,66 +241,6 @@ class TestKl:
         assert nn.grad_check(f, [mu, logvar], rng=rng) < 1e-6
 
 
-class TestFlow:
-    def test_endpoints(self):
-        rng = np.random.default_rng(5)
-        z = rng.normal(size=(3, 3))
-        eps = rng.normal(size=(3, 3))
-        assert np.array_equal(losses.flow_interpolate(z, eps, 0.0), z)
-        assert np.array_equal(losses.flow_interpolate(z, eps, 1.0), eps)
-
-    def test_midpoint_and_velocity(self):
-        z = np.array([2.0])
-        eps = np.array([0.0])
-        assert losses.flow_interpolate(z, eps, 0.5)[0] == 1.0
-        assert losses.velocity_target(z, eps)[0] == -2.0
-
-    def test_flow_identity(self):
-        rng = np.random.default_rng(6)
-        z = rng.normal(size=(4, 4))
-        eps = rng.normal(size=(4, 4))
-        tau = rng.uniform(0, 1)
-        ztau = losses.flow_interpolate(z, eps, tau)
-        back = ztau + (0.0 - tau) * losses.velocity_target(z, eps)
-        assert np.max(np.abs(back - z)) < 1e-15
-
-    def test_loss_zero_when_equal(self):
-        v = np.random.default_rng(7).normal(size=(2, 5))
-        loss, grad = losses.flow_matching_loss(v, v.copy())
-        assert loss == 0.0
-        assert np.all(grad == 0.0)
-
-    def test_uniform_weights_equal_mse(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.normal(size=(2, 3, 4))
-        plain, _ = losses.flow_matching_loss(a, b)
-        weighted, _ = losses.flow_matching_loss(a, b, np.full((3, 4), 2.5))
-        assert abs(plain - weighted) < 1e-12
-        assert abs(plain - ((a - b) ** 2).mean()) < 1e-15
-
-    def test_weight_normalization_example(self):
-        v_pred = np.array([1.0, 5.0])
-        v_target = np.array([0.0, 0.0])
-        loss, _ = losses.flow_matching_loss(v_pred, v_target, np.array([2.0, 0.0]))
-        assert abs(loss - 1.0) < 1e-15
-
-    def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            losses.flow_matching_loss(np.ones(2), np.zeros(2), np.zeros(2))
-
-    def test_grad(self):
-        rng = np.random.default_rng(9)
-        v_pred = rng.normal(size=(4, 3))
-        v_target = rng.normal(size=(4, 3))
-        w = rng.uniform(0, 2, size=(4, 1))
-
-        def f(v_pred):
-            loss, d = losses.flow_matching_loss(v_pred, v_target, w)
-            return np.asarray(loss), lambda dd: (dd * d,)
-
-        assert nn.grad_check(f, [v_pred], rng=rng) < 1e-6
-
-
 class TestLogitNormal:
     def test_open_interval(self):
         rng = np.random.default_rng(10)
@@ -321,32 +260,3 @@ class TestLogitNormal:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             losses.sample_logit_normal(np.random.default_rng(0), 0.0, 0.0)
-
-
-class TestSmallObjectWeights:
-    def layout(self):
-        return BevLayout(16, 16, 0.4, 8)
-
-    def test_no_rare_bits(self):
-        w = losses.small_object_weights(self.layout(), [2, 3], beta=4.0,
-                                        patch_size=4)
-        assert w.shape == (4, 4)
-        assert np.all(w == 1.0)
-
-    def test_full_patch_weight(self):
-        layout = self.layout()
-        layout.bits[0:4, 0:4] = 1 << 2
-        w = losses.small_object_weights(layout, [2], beta=4.0, patch_size=4)
-        assert w[0, 0] == 5.0
-        assert np.all(w.reshape(-1)[1:] == 1.0)
-
-    def test_weights_at_least_one(self):
-        rng = np.random.default_rng(13)
-        layout = self.layout()
-        layout.bits[:] = rng.integers(0, 256, size=(16, 16), dtype=np.uint16)
-        w = losses.small_object_weights(layout, [0, 5], beta=2.0, patch_size=2)
-        assert np.all(w >= 1.0)
-
-    def test_patch_must_tile(self):
-        with pytest.raises(ValueError):
-            losses.small_object_weights(self.layout(), [0], patch_size=5)

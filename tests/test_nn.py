@@ -165,33 +165,12 @@ class TestSigmoid:
         assert_same_bits(nn.sigmoid(grid), reference_sigmoid(grid))
 
 
-class TestSwiglu:
-    def test_zero_input(self):
-        y, _ = nn.swiglu(np.zeros((2, 6)))
-        assert np.all(y == 0)
-
-    def test_scalar_value(self):
-        y, _ = nn.swiglu(np.array([[1.0, 1.0]]))
-        assert abs(y[0, 0] - 1.0 / (1.0 + np.exp(-1.0))) < 1e-15
-
-    def test_grad(self):
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=(3, 8))
-
-        def f(h):
-            y, cache = nn.swiglu(h)
-            return y, lambda d: (nn.swiglu_backward(d, cache),)
-
-        assert nn.grad_check(f, [h], rng=rng) < 1e-6
-
-
 class TestAttention:
     def test_single_key_passthrough(self):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(1, 4))
         v = rng.normal(size=(1, 4))
-        out, _ = nn.masked_attention(q, rng.normal(size=(1, 4)), v, heads=2,
-                                     mask=np.ones((1, 1), dtype=bool))
+        out, _ = nn.masked_attention(q, rng.normal(size=(1, 4)), v, heads=2)
         assert np.allclose(out, v, atol=1e-12)
 
     def test_identical_keys_half_weights(self):
@@ -206,153 +185,25 @@ class TestAttention:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        s = 6
-        mask = rng.random((s, s)) < 0.6
-        mask[np.arange(s), np.arange(s)] = True
-        q, k, v = (rng.normal(size=(2, s, 8)) for _ in range(3))
-        _, cache = nn.masked_attention(q, k, v, heads=2, mask=mask)
+        q, k, v = (rng.normal(size=(2, 6, 8)) for _ in range(3))
+        _, cache = nn.masked_attention(q, k, v, heads=2)
         attn = cache[3]
+        assert attn.shape == (2, 2, 6, 6)
         assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
-        assert np.all(attn[..., ~mask] == 0.0)
-
-    def test_zero_allowed_row_rejected(self):
-        mask = np.zeros((2, 2), dtype=bool)
-        mask[0, 0] = True
-        q = np.zeros((2, 4))
-        with pytest.raises(ValueError):
-            nn.masked_attention(q, q, q, heads=1, mask=mask)
+        assert np.all(attn > 0.0)
 
     def test_grad(self):
         rng = np.random.default_rng(7)
         s = 5
-        mask = rng.random((s, s)) < 0.7
-        mask[np.arange(s), np.arange(s)] = True
         q = rng.normal(size=(s, 8))
         k = rng.normal(size=(s, 8))
         v = rng.normal(size=(s, 8))
 
         def f(q, k, v):
-            y, cache = nn.masked_attention(q, k, v, heads=2, mask=mask)
+            y, cache = nn.masked_attention(q, k, v, heads=2)
             return y, lambda d: nn.masked_attention_backward(d, cache)
 
         assert nn.grad_check(f, [q, k, v], rng=rng) < 1e-5
-
-    def test_grad_with_rope(self):
-        rng = np.random.default_rng(8)
-        s = 4
-        pos = np.stack(np.meshgrid(np.arange(2), np.arange(2), indexing="ij"),
-                       -1).reshape(-1, 2)
-        cos, sin = nn.rope2d_angles(pos, 8)
-        q = rng.normal(size=(s, 8))
-        k = rng.normal(size=(s, 8))
-        v = rng.normal(size=(s, 8))
-
-        def f(q, k, v):
-            y, cache = nn.masked_attention(q, k, v, heads=1, rope=(cos, sin))
-            return y, lambda d: nn.masked_attention_backward(d, cache)
-
-        assert nn.grad_check(f, [q, k, v], rng=rng) < 1e-5
-
-
-def rope(tokens, positions):
-    return nn.rope_apply(tokens, *nn.rope2d_angles(positions, tokens.shape[-1]))
-
-
-class TestRope:
-    def test_zero_position_identity(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(1, 8))
-        y = rope(x, np.zeros((1, 2)))
-        assert np.allclose(y, x, atol=1e-15)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(6, 16))
-        pos = rng.integers(0, 10, size=(6, 2))
-        y = rope(x, pos)
-        assert np.allclose(np.linalg.norm(y, axis=-1),
-                           np.linalg.norm(x, axis=-1), atol=1e-12)
-
-    def test_relative_phase(self):
-        rng = np.random.default_rng(11)
-        q = rng.normal(size=8)
-        k = rng.normal(size=8)
-        pairs = [((0, 0), (2, 3)), ((1, 4), (3, 7)), ((5, 1), (7, 4))]
-        dots = []
-        for p1, p2 in pairs:
-            rq = rope(q[None, :], np.array([p1]))[0]
-            rk = rope(k[None, :], np.array([p2]))[0]
-            dots.append(float(rq @ rk))
-        assert abs(dots[0] - dots[1]) < 1e-12
-        assert abs(dots[0] - dots[2]) < 1e-12
-
-    def test_indivisible_dim_rejected(self):
-        with pytest.raises(ValueError):
-            rope(np.zeros((1, 6)), np.zeros((1, 2)))
-
-
-class TestAdalnZero:
-    def sublayer(self, w):
-        def f(h):
-            y, cache = nn.linear(h, w)
-            sg, sg_cache = nn.silu(y)
-            return sg, (cache, sg_cache)
-
-        def f_backward(d, cache):
-            lin_cache, sg_cache = cache
-            d = nn.silu_backward(d, sg_cache)
-            dh, dw, _ = nn.linear_backward(d, lin_cache)
-            return dh, dw
-
-        return f, f_backward
-
-    def test_zero_init_is_identity(self):
-        rng = np.random.default_rng(12)
-        d = 6
-        x = rng.normal(size=(2, 5, d))
-        cond = rng.normal(size=(2, 1, d))
-        w_mod = np.zeros((d, 3 * d))
-        b_mod = np.zeros(3 * d)
-        f, _ = self.sublayer(rng.normal(size=(d, d)))
-        out, _ = nn.adaln_zero(x, cond, w_mod, b_mod, f)
-        assert np.array_equal(out, x)
-
-    def test_plain_residual_when_gate_one(self):
-        rng = np.random.default_rng(13)
-        d = 4
-        x = rng.normal(size=(1, 3, d))
-        cond = np.zeros((1, 1, d))
-        w_mod = np.zeros((d, 3 * d))
-        b_mod = np.zeros(3 * d)
-        b_mod[2 * d:] = 1.0  # gate = 1, shift = scale = 0
-        w = rng.normal(size=(d, d))
-        f, _ = self.sublayer(w)
-        out, _ = nn.adaln_zero(x, cond, w_mod, b_mod, f)
-        xn, _ = nn.layernorm(x)
-        expect = x + nn.silu(xn @ w)[0]
-        assert np.allclose(out, expect, atol=1e-12)
-
-    def test_grad(self):
-        rng = np.random.default_rng(14)
-        d = 4
-        x = rng.normal(size=(2, 3, d))
-        cond = rng.normal(size=(2, 1, d))
-        w_mod = rng.normal(size=(d, 3 * d)) * 0.3
-        b_mod = rng.normal(size=(3 * d,)) * 0.1
-        w_sub = rng.normal(size=(d, d))
-        f, f_bw = self.sublayer(w_sub)
-
-        def g(x, cond, w_mod, b_mod, w_sub):
-            out, cache = nn.adaln_zero(x, cond, w_mod, b_mod, f)
-
-            def backward(dout):
-                dx, dcond, dwm, dbm, (dw_sub,) = nn.adaln_zero_backward(
-                    dout, cache, f_bw)
-                return dx, dcond, dwm, dbm, dw_sub
-
-            return out, backward
-
-        assert nn.grad_check(g, [x, cond, w_mod, b_mod, w_sub], rng=rng) < 1e-5
 
 
 def check_conv_against_reference(rng, x, w, stride, padding):
@@ -490,14 +341,6 @@ def test_adam_minimizes_quadratic():
         grads = {"w": 2.0 * params["w"]}
         nn.adam_step(params, grads, state, lr=0.05)
     assert np.max(np.abs(params["w"])) < 1e-3
-
-
-def test_ema_moves_toward_params():
-    avg = {"w": np.zeros(3)}
-    params = {"w": np.ones(3)}
-    for _ in range(200):
-        nn.ema_update(avg, params, decay=0.9)
-    assert np.max(np.abs(avg["w"] - 1.0)) < 1e-6
 
 
 def test_clip_grads():

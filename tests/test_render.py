@@ -458,3 +458,11 @@ def test_camera_validation():
     with pytest.raises(ValueError):
         Camera(fx=1, fy=1, cx=9, cy=0, width=4, height=4,
                pose=Se3Pose.identity())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_camera_non_finite_focal_rejected(bad):
+    for fx, fy in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            Camera(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4,
+                   pose=Se3Pose.identity())
