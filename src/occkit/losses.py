@@ -30,9 +30,11 @@ def _rows_and_targets(
     """(N, C) probability rows and their N class ids, checked."""
     p = probs.reshape(-1, probs.shape[-1])
     t = np.asarray(targets).reshape(-1)
+    if len(p) == 0:
+        raise ValueError("empty batch: need at least one probability row")
     if len(t) != len(p):
         raise ValueError("need one target per probability row")
-    if t.size and (t.min() < 0 or t.max() >= p.shape[1]):
+    if t.min() < 0 or t.max() >= p.shape[1]:
         raise ValueError("target class id out of range")
     return p, t
 
@@ -54,13 +56,15 @@ def focal_loss(
         raise ValueError("non-finite probabilities")
     p, t = _rows_and_targets(probs, targets)
     n = len(p)
+    w = np.ones(n) if voxel_weights is None else np.asarray(voxel_weights).reshape(-1)
+    if len(w) != n:
+        raise ValueError("need one voxel weight per probability row")
     idx = np.arange(n)
     # keep 1 - p_t strictly positive so the gamma > 0 power stays finite
     pt = np.clip(p[idx, t], 1e-300, np.nextafter(1.0, 0.0))
     one_m = 1.0 - pt
     log_pt = np.log(pt)
     per_voxel = -(one_m ** gamma) * log_pt
-    w = np.ones(n) if voxel_weights is None else np.asarray(voxel_weights).reshape(-1)
     loss = float((w * per_voxel).sum() / n)
 
     if gamma > 0:
@@ -95,7 +99,9 @@ def lovasz_softmax(
     sort ties).
     """
     flat, t = _rows_and_targets(probs, targets)
-    if not (np.max(np.abs(flat.sum(axis=-1) - 1.0)) <= 1e-6):
+    # a GEMV sums the short class rows far faster than sum(axis=-1); the sums
+    # only decide this check, so their rounding order does not matter
+    if not (np.max(np.abs(flat @ np.ones(flat.shape[1]) - 1.0)) <= 1e-6):
         raise ValueError("probability rows must sum to 1")
     n = len(flat)
     present = np.flatnonzero(np.bincount(t, minlength=flat.shape[1]))

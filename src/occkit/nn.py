@@ -152,39 +152,44 @@ def masked_attention_backward(dout: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(B, Ho, Wo, kh*kw*Cin) windows of a padded input, in (i, j, c) order."""
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(*windows.shape[:3], -1)
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
            stride: int = 1, padding: int = 0):
-    """Direct convolution as one GEMM over (i, j, c)-ordered im2col columns."""
+    """Direct convolution as one GEMM over (i, j, c)-ordered im2col columns.
+
+    Caches ``(xp, w, stride, padding)``, xp the padded input: backward
+    rebuilds the kh*kw times larger columns instead of keeping them."""
     kh, kw, cin, cout = w.shape
     if x.shape[-1] != cin:
         raise ValueError("channel mismatch")
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    bsz, hp, wp, _ = x.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(bsz, ho, wo, kh * kw * cin)
-    y = cols @ w.reshape(-1, cout)
+    y = _im2col(x, kh, kw, stride) @ w.reshape(-1, cout)
     if b is not None:
         y = y + b
-    return y, (cols, w, x.shape, stride, padding)
+    return y, (x, w, stride, padding)
 
 
 def conv2d_backward(dout: np.ndarray, cache):
-    cols, w, xpad_shape, stride, padding = cache
+    xp, w, stride, padding = cache
     kh, kw, cin, cout = w.shape
     bsz, ho, wo, _ = dout.shape
     dflat = dout.reshape(-1, cout)
+    cols = _im2col(xp, kh, kw, stride).reshape(-1, kh * kw * cin)
     # the same sums as cols.T @ dflat, bit for bit, in a faster BLAS orientation
-    dw = (dflat.T @ cols.reshape(-1, kh * kw * cin)).T.reshape(w.shape)
+    dw = (dflat.T @ cols).T.reshape(w.shape)
+    del cols
     db = dflat.sum(axis=0)
-    dcols = dout @ w.reshape(-1, cout).T
-    dxp = np.zeros(xpad_shape, dtype=dout.dtype)
+    dxp = np.zeros(xp.shape, dtype=dout.dtype)
     for i in range(kh):
-        for j in range(kw):
-            sl = dcols[..., (i * kw + j) * cin:(i * kw + j + 1) * cin]
-            dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += sl
+        for j in range(kw):  # one tap's contiguous slab of the column gradient
+            slab = (dflat @ w[i, j].T).reshape(bsz, ho, wo, cin)
+            dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += slab
     if padding:
         dxp = dxp[:, padding:-padding, padding:-padding, :]
     return dxp, dw, db

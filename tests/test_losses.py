@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,13 @@ class TestFocal:
                                         targets, voxel_weights=w)
         assert loss == loss_r and d.tobytes() == d_r.tobytes()
 
+    @pytest.mark.parametrize("weights", [[5.0], [1.0, 2.0, 3.0], np.ones((2, 4))],
+                             ids=["one", "too_few", "too_many"])
+    def test_wrong_length_voxel_weights_rejected(self, weights):
+        probs = losses.softmax(np.random.default_rng(3).normal(size=(4, 3)))
+        with pytest.raises(ValueError, match="one voxel weight per"):
+            losses.focal_loss(probs, np.array([0, 1, 2, 1]), voxel_weights=np.array(weights))
+
 
 class TestLovasz:
     def test_one_hot_correct_is_zero(self):
@@ -204,6 +213,16 @@ def test_bad_targets_rejected(loss_fn, targets):
     probs = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(ValueError, match="target"):
         loss_fn(probs, np.array(targets))
+
+
+@pytest.mark.parametrize("loss_fn", [losses.focal_loss, losses.lovasz_softmax],
+                         ids=["focal", "lovasz"])
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4, 3)], ids=["rows", "nd"])
+def test_empty_batch_rejected(loss_fn, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty batch"):
+            loss_fn(np.zeros(shape), np.zeros(shape[:-1], dtype=np.int64))
 
 
 class TestSoftmax:

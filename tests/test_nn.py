@@ -206,17 +206,48 @@ class TestAttention:
         assert nn.grad_check(f, [q, k, v], rng=rng) < 1e-5
 
 
-def check_conv_against_reference(rng, x, w, stride, padding):
+def check_conv_against_reference(rng, x, w, stride, padding, dout_view=False):
+    """Bitwise check of nn.conv2d and its backward against the oracle pair.
+
+    With ``dout_view`` the output gradient is the interior view of a larger
+    map, as the VAE passes the previous backward's unpadded input gradient.
+    """
     b = rng.normal(size=w.shape[-1])
     y, cache = nn.conv2d(x, w, b, stride, padding)
     y_ref, cache_ref = reference_conv2d(x, w, b, stride, padding)
     assert_same_bits(y, y_ref)
-    assert_same_bits(cache[0], cache_ref[0])
-    assert cache[2:] == cache_ref[2:]
-    dout = rng.normal(size=y.shape)
+    pad = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+    assert_same_bits(cache[0], np.pad(x, pad))
+    assert cache[1] is w and cache[2:] == (stride, padding)
+    if dout_view:
+        bsz, ho, wo, cout = y.shape
+        dout = rng.normal(size=(bsz, ho + 2, wo + 2, cout))[:, 1:-1, 1:-1, :]
+        assert not dout.flags.c_contiguous
+    else:
+        dout = rng.normal(size=y.shape)
     for got, want in zip(nn.conv2d_backward(dout, cache),
                          reference_conv2d_backward(dout, cache_ref)):
         assert_same_bits(got, want)
+
+
+def vae_conv_shapes(monkeypatch) -> list:
+    """Sorted (x shape, w shape, stride, padding) of every conv the VAE runs."""
+    shapes = set()
+    conv2d = nn.conv2d
+
+    def recording_conv2d(x, w, b=None, stride=1, padding=0):
+        shapes.add((x.shape, w.shape, stride, padding))
+        return conv2d(x, w, b, stride, padding)
+
+    cfg = vae.VaeConfig()
+    params = vae.init_vae_params(cfg, np.random.default_rng(23))
+    labels = np.random.default_rng(24).integers(
+        0, cfg.num_classes, size=(2, *cfg.grid_dims))
+    monkeypatch.setattr(nn, "conv2d", recording_conv2d)
+    vae.vae_encode_mean(params, cfg, labels)
+    vae.vae_reconstruct(params, cfg, np.zeros((2, *cfg.latent_hw, cfg.latent_channels)))
+    monkeypatch.undo()
+    return sorted(shapes)
 
 
 class TestConvPool:
@@ -277,27 +308,34 @@ class TestConvPool:
             check_conv_against_reference(rng, x, w, stride, padding)
 
     def test_conv_matches_reference_on_vae_shapes(self, monkeypatch):
-        shapes = set()
-        conv2d = nn.conv2d
-
-        def recording_conv2d(x, w, b=None, stride=1, padding=0):
-            shapes.add((x.shape, w.shape, stride, padding))
-            return conv2d(x, w, b, stride, padding)
-
-        cfg = vae.VaeConfig()
-        params = vae.init_vae_params(cfg, np.random.default_rng(23))
-        labels = np.random.default_rng(24).integers(
-            0, cfg.num_classes, size=(2, *cfg.grid_dims))
-        monkeypatch.setattr(nn, "conv2d", recording_conv2d)
-        vae.vae_encode_mean(params, cfg, labels)
-        vae.vae_reconstruct(params, cfg, np.zeros((2, *cfg.latent_hw, cfg.latent_channels)))
-        monkeypatch.undo()
+        shapes = vae_conv_shapes(monkeypatch)
         assert len(shapes) >= 5 and {shape[2] for shape in shapes} == {1, 2}
         rng = np.random.default_rng(25)
-        for x_shape, w_shape, stride, padding in sorted(shapes):
+        for x_shape, w_shape, stride, padding in shapes:
             x = rng.normal(size=x_shape)
             w = rng.normal(size=w_shape) * 0.1
             check_conv_against_reference(rng, x, w, stride, padding)
+
+    def test_conv_backward_non_contiguous_dout_matches_reference(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        for x_shape, w_shape, stride, padding in vae_conv_shapes(monkeypatch):
+            x = rng.normal(size=x_shape)
+            w = rng.normal(size=w_shape) * 0.1
+            check_conv_against_reference(rng, x, w, stride, padding, dout_view=True)
+        for kernel, stride, padding in itertools.product(
+                [(1, 1), (2, 2), (3, 3), (3, 2)], (1, 2), (0, 1, 2)):
+            x = rng.normal(size=(2, 7, 6, 3))
+            w = rng.normal(size=(*kernel, 3, 4))
+            check_conv_against_reference(rng, x, w, stride, padding, dout_view=True)
+
+    def test_conv_cache_holds_no_more_than_padded_input_and_weights(self):
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(2, 16, 16, 8))
+        w = rng.normal(size=(3, 3, 8, 8))
+        _, cache = nn.conv2d(x, w, rng.normal(size=8), stride=1, padding=1)
+        held = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
+        # the (2, 16, 16, 72) im2col columns alone are 9 * x.nbytes
+        assert held <= 2 * 18 * 18 * 8 * x.itemsize + w.nbytes
 
     def test_space_depth_round_trip(self):
         rng = np.random.default_rng(18)
