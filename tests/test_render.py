@@ -199,11 +199,12 @@ class TestRaycast:
         grid = SemanticOccupancyGrid(spec, labels)
         # principal ray from (0.2, 0.2, -5) along +z passes through x=y=idx 8
         cam = make_camera(pose=Se3Pose.from_translation((0.2, 0.2, -5.0)))
-        buf = raycast_buffers(grid, cam, 50.0, SCHEMA)
-        assert buf.hit_mask[3, 4]
-        assert buf.semantic[3, 4] == 6
-        assert np.allclose(buf.coordinate[3, 4], spec.index_to_center([8, 8, 12]),
-                           atol=1e-12)
+        for max_range in (50.0, np.inf):
+            buf = raycast_buffers(grid, cam, max_range, SCHEMA)
+            assert buf.hit_mask[3, 4]
+            assert buf.semantic[3, 4] == 6
+            assert np.allclose(buf.coordinate[3, 4], spec.index_to_center([8, 8, 12]),
+                               atol=1e-12)
 
     def test_nearer_voxel_wins(self):
         spec = self.spec()
@@ -223,6 +224,31 @@ class TestRaycast:
         cam = make_camera(pose=Se3Pose.from_translation((0.2, 0.2, -5.0)))
         buf = raycast_buffers(grid, cam, 3.0, SCHEMA)
         assert not buf.hit_mask[3, 4]
+
+    @pytest.mark.parametrize("max_range", [0.0, -1.0, np.nan])
+    def test_bad_max_range_rejected(self, max_range):
+        grid = SemanticOccupancyGrid.full_free(self.spec(), SCHEMA)
+        with pytest.raises(ValueError, match="max_range"):
+            raycast_buffers(grid, make_camera(), max_range, SCHEMA)
+
+    @pytest.mark.parametrize("origin, direction", [
+        ((0.1, 0.1, 0.5), (0.0, 0.0, 0.0)),
+        ((0.1, 0.1, 0.5), (-0.0, 0.0, -0.0)),
+        ((np.nan, 0.1, 0.5), (1.0, 0.0, 0.0)),
+        ((0.1, np.inf, 0.5), (1.0, 0.0, 0.0)),
+        ((0.1, 0.1, 0.5), (0.0, np.nan, 1.0)),
+        ((0.1, 0.1, 0.5), (0.0, 0.0, -np.inf)),
+    ])
+    def test_degenerate_ray_rejected(self, origin, direction):
+        # a zero direction has no next boundary: unchecked, it steps along -x
+        # and t = inf passes ``t <= max_range``, a hit at [2, 8, 9], t = inf
+        spec = self.spec()
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[2, 8, 9] = 3
+        origins = np.array([(0.0, 0.0, 0.0), origin])
+        dirs = np.array([(1.0, 0.0, 0.0), direction])
+        with pytest.raises(ValueError, match="finite, non-zero directions"):
+            raycast_grid(labels, spec, origins, dirs, np.inf, SCHEMA.free_class)
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(42)
@@ -302,9 +328,11 @@ def assert_same_traversal(labels, spec, origins, dirs, max_range, free):
 
 
 # Direction components in {-1, 0, 1}: zero components and exact diagonals,
-# on which every boundary crossing is a tie between axes.
+# on which every boundary crossing is a tie between axes. The all-zero
+# direction is left out: raycast_grid rejects it.
 LATTICE_DIRS = np.array([(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1)
-                         for z in (-1, 0, 1)], dtype=np.float64)
+                         for z in (-1, 0, 1) if (x, y, z) != (0, 0, 0)],
+                        dtype=np.float64)
 
 
 class TestRaycastOracle:
@@ -368,6 +396,29 @@ class TestRaycastOracle:
         empty = np.zeros((0, 3))
         hit, iv, t = raycast_grid(labels, spec, empty, empty, 5.0, free)
         assert hit.shape == (0,) and iv.shape == (0, 3) and t.shape == (0,)
+
+    def test_input_layouts(self):
+        """The same rays as Fortran-ordered, strided, broadcast and list inputs."""
+        spec = GridSpec(dims=(6, 5, 4), origin=(-1.2, -1.0, -0.8), voxel_size=0.4)
+        free = 9
+        rng = np.random.default_rng(5)
+        labels = np.where(rng.random(spec.dims) < 0.15,
+                          rng.integers(0, 5, spec.dims), free)
+        dirs = np.concatenate([rng.normal(size=(64, 3)), LATTICE_DIRS])
+        origin = np.array([0.1, -0.3, 0.2])
+        origins = np.repeat(origin[None], len(dirs), axis=0)
+        big_o, big_d = np.zeros((2 * len(dirs), 3)), np.zeros((2 * len(dirs), 3))
+        big_o[::2], big_d[::2] = origins, dirs
+        want = assert_same_traversal(labels, spec, origins, dirs, 1.5, free)
+        assert 0 < want[0].sum() < len(dirs)
+        for o, d in [(np.asfortranarray(origins), np.asfortranarray(dirs)),
+                     (big_o[::2], big_d[::2]),
+                     (np.broadcast_to(origin, dirs.shape), dirs),
+                     (origins.tolist(), dirs.tolist())]:
+            kept = np.array(o, copy=True), np.array(d, copy=True)
+            got = assert_same_traversal(labels, spec, o, d, 1.5, free)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(o, kept[0]) and np.array_equal(d, kept[1])
 
     def test_rig_scene(self):
         spec = GridSpec(dims=(48, 48, 10), origin=(-9.6, -9.6, -2.0),
