@@ -102,11 +102,11 @@ class LabelSchema:
         return out if isinstance(s, np.ndarray) else int(out)
 
     @classmethod
-    def toy(cls, num_classes: int = 6) -> "LabelSchema":
-        """Small schema for procedural datasets: 2 agents + 2 stuff + free."""
+    def toy(cls) -> "LabelSchema":
+        """Six-class schema for procedural datasets: 2 agents, 2 stuff, free class 5."""
         return cls(
-            num_classes=num_classes,
-            free_class=num_classes - 1,
+            num_classes=6,
+            free_class=5,
             thing_classes=frozenset({1, 2}),
             stuff_classes=frozenset({3, 4}),
             layout_channel_map={1: 0, 2: 1, 3: 2, 4: 3},
@@ -307,6 +307,8 @@ class OrientedBox:
 # BEV layouts
 # ---------------------------------------------------------------------------
 
+_RESOLUTION_TOL = 1e-6  # absorbs float32 header rounding of on-disk resolutions
+
 
 class BevLayout:
     """Ego-centered multi-hot raster; bits[i, j] is a channel bitmask."""
@@ -350,10 +352,9 @@ class BevLayout:
         return BevLayout(self.width, self.height, self.resolution,
                          self.channels, self.bits.copy())
 
-    def matches_grid(self, spec: GridSpec, tol: float = 1e-6) -> bool:
-        # tol absorbs float32 header rounding of on-disk resolutions
+    def matches_grid(self, spec: GridSpec) -> bool:
         return (self.width == spec.dims[0] and self.height == spec.dims[1]
-                and abs(self.resolution - spec.voxel_size) <= tol)
+                and abs(self.resolution - spec.voxel_size) <= _RESOLUTION_TOL)
 
 
 def points_in_polygon(points_xy: np.ndarray, polygon: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 Every forward returns ``(out, cache)``; the matching ``*_backward``
 consumes ``(dout, cache)`` and returns exact gradients. The layer menu
 is what the occupancy VAE uses: linear, layernorm, silu, multi-head
-attention, convolution with space/depth reshuffles, and embedding
-lookup, plus Adam and gradient clipping. Each piece is verifiable by
-central finite differences at 64-bit precision. There is no autodiff
-graph: models compose these calls and mirror them by hand in reverse.
-The vectorised layers do the float operations of plain loops in the
-same order; ``tests/test_nn.py`` keeps those as oracles.
+attention, a same-size convolution with odd kernel sides (zero-padded by
+k // 2, stride 1), the space/depth shuffles that resample by 2x around a
+linear layer, and embedding lookup, plus Adam and gradient clipping.
+Each piece is verifiable by central finite differences at 64-bit
+precision. There is no autodiff graph: a model's forward pass records the
+matching backward calls on a list, a tape, and replays it in reverse (see
+:mod:`occkit.vae`). The vectorised layers do the float operations of
+plain loops in the same order; ``tests/test_nn.py`` keeps those as oracles.
 
 Randomness is drawn from named Philox streams derived from one root
 seed, so every training run is reproducible across platforms:
@@ -79,12 +81,12 @@ def linear_backward(dout: np.ndarray, cache):
     return dx, dw, db
 
 
-def layernorm(x: np.ndarray, eps: float = 1e-6):
+def layernorm(x: np.ndarray):
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = xc * inv
     return xhat, (xhat, inv)
 
@@ -152,35 +154,34 @@ def masked_attention_backward(dout: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(B, Ho, Wo, kh*kw*Cin) windows of a padded input, in (i, j, c) order."""
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(*windows.shape[:3], -1)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-           stride: int = 1, padding: int = 0):
-    """Direct convolution as one GEMM over (i, j, c)-ordered im2col columns.
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Same-size convolution with odd kernel sides, zero-padded by k // 2.
 
-    Caches ``(xp, w, stride, padding)``, xp the padded input: backward
-    rebuilds the kh*kw times larger columns instead of keeping them."""
+    One GEMM over (i, j, c)-ordered im2col columns. Caches ``(xp, w)``, xp
+    the padded input: backward rebuilds the kh*kw times larger columns
+    instead of keeping them."""
     kh, kw, cin, cout = w.shape
     if x.shape[-1] != cin:
         raise ValueError("channel mismatch")
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    y = _im2col(x, kh, kw, stride) @ w.reshape(-1, cout)
-    if b is not None:
-        y = y + b
-    return y, (x, w, stride, padding)
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError("kernel sides must be odd")
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    y = _im2col(xp, kh, kw) @ w.reshape(-1, cout)
+    return y + b, (xp, w)
 
 
 def conv2d_backward(dout: np.ndarray, cache):
-    xp, w, stride, padding = cache
+    xp, w = cache
     kh, kw, cin, cout = w.shape
     bsz, ho, wo, _ = dout.shape
     dflat = dout.reshape(-1, cout)
-    cols = _im2col(xp, kh, kw, stride).reshape(-1, kh * kw * cin)
+    cols = _im2col(xp, kh, kw).reshape(-1, kh * kw * cin)
     # the same sums as cols.T @ dflat, bit for bit, in a faster BLAS orientation
     dw = (dflat.T @ cols).T.reshape(w.shape)
     del cols
@@ -189,10 +190,8 @@ def conv2d_backward(dout: np.ndarray, cache):
     for i in range(kh):
         for j in range(kw):  # one tap's contiguous slab of the column gradient
             slab = (dflat @ w[i, j].T).reshape(bsz, ho, wo, cin)
-            dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :] += slab
-    if padding:
-        dxp = dxp[:, padding:-padding, padding:-padding, :]
-    return dxp, dw, db
+            dxp[:, i:i + ho, j:j + wo, :] += slab
+    return dxp[:, kh // 2:kh // 2 + ho, kw // 2:kw // 2 + wo, :], dw, db
 
 
 def space_to_depth(x: np.ndarray, factor: int) -> np.ndarray:
@@ -267,16 +266,10 @@ def adam_init(params: Mapping[str, np.ndarray]) -> dict:
     }
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    state: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One in-place Adam update of every parameter."""
+def adam_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
+              state: dict, lr: float) -> None:
+    """One in-place Adam update of every parameter, betas (0.9, 0.999), eps 1e-8."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - beta1 ** t

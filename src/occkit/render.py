@@ -330,8 +330,8 @@ def rig_from_json(items: list[dict]) -> CameraRig:
 
 
 def standard_rig(fx: float = 24.0, width: int = 48, height: int = 32,
-                 radius: float = 1.0, z: float = 1.6) -> CameraRig:
-    """Six outward-looking cameras on a circle, in cyclic role order."""
+                 z: float = 1.6) -> CameraRig:
+    """Six outward-looking cameras on a unit circle, in cyclic role order."""
     yaws = {"F": 0.0, "FR": -np.pi / 3, "BR": -2 * np.pi / 3, "B": np.pi,
             "BL": 2 * np.pi / 3, "FL": np.pi / 3}
     cams = []
@@ -342,7 +342,7 @@ def standard_rig(fx: float = 24.0, width: int = 48, height: int = 32,
         right = np.array([np.sin(yaw), -np.cos(yaw), 0.0])
         down = np.array([0.0, 0.0, -1.0])
         rot = np.stack([right, down, fwd], axis=1)
-        pose = Se3Pose(rot, fwd * radius + np.array([0.0, 0.0, z]))
+        pose = Se3Pose(rot, fwd + np.array([0.0, 0.0, z]))
         cams.append(Camera(fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0,
                            width=width, height=height, pose=pose, role=role))
     return CameraRig(cams)

@@ -3,9 +3,17 @@
 Grids are flattened to 2D by embedding each voxel's class and
 concatenating the height column along channels; a 2D conv/axial-attention
 encoder compresses that map into a Gaussian latent, and a mirrored
-decoder emits per-voxel class logits. Everything runs in float64 with
-hand-written backward passes composed from the layer menu in
-:mod:`occkit.nn`.
+decoder emits per-voxel class logits. The convolutions are 3x3 and keep
+the map's size. The encoder halves it with ``linear(space_to_depth(h))``,
+a 2x2 stride-2 convolution written as a shuffle and a linear layer, and
+the decoder doubles it with the mirror ``depth_to_space(linear(h))``.
+
+Everything runs in float64 on the layers of :mod:`occkit.nn`. The network
+is written once, in the forward pass: each block pushes a step
+``step(dout, grads) -> dinput`` on a list, the tape, which calls the
+layer's backward and accumulates the gradients of its named parameters.
+``vae_encode`` and ``vae_decode`` return their tape, and the matching
+``*_backward`` replays it last step first.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ class VaeConfig:
 
     def __post_init__(self):
         x, y, _ = self.grid_dims
+        if min(*self.grid_dims, self.num_classes, self.class_embed_dim,
+               self.latent_channels) <= 0:
+            raise ValueError("grid, class, embedding and latent sizes must be positive")
         if self.spatial_downsample not in (1, 2, 4, 8):
             raise ValueError("downsample must be a power of two <= 8")
         if x % self.spatial_downsample or y % self.spatial_downsample:
@@ -74,9 +85,8 @@ def _stage_widths(cfg: VaeConfig) -> list[int]:
 def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     p: dict[str, np.ndarray] = {}
 
-    def conv(name, kh, kw, cin, cout):
-        std = np.sqrt(2.0 / (kh * kw * cin))
-        p[f"{name}.w"] = rng.normal(0, std, size=(kh, kw, cin, cout))
+    def conv(name, cin, cout):  # 3x3, He init
+        p[f"{name}.w"] = rng.normal(0, np.sqrt(2.0 / (9 * cin)), size=(3, 3, cin, cout))
         p[f"{name}.b"] = np.zeros(cout)
 
     def lin(name, cin, cout, std=None):
@@ -85,8 +95,8 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
         p[f"{name}.b"] = np.zeros(cout)
 
     def res(name, c):
-        conv(f"{name}.c1", 3, 3, c, c)
-        conv(f"{name}.c2", 3, 3, c, c)
+        conv(f"{name}.c1", c, c)
+        conv(f"{name}.c2", c, c)
         p[f"{name}.c2.w"] *= 0.1  # keep residual branches small at init
 
     def attn(name, c):
@@ -99,10 +109,11 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
     widths = _stage_widths(cfg)
     p["embed"] = rng.normal(0, 1.0, size=(cfg.num_classes, cfg.class_embed_dim))
     cin = cfg.grid_dims[2] * cfg.class_embed_dim
-    conv("enc.stem", 3, 3, cin, widths[0])
+    conv("enc.stem", cin, widths[0])
     res("enc.res0", widths[0])
     for i in range(cfg.num_down_stages):
-        conv(f"enc.down{i}", 2, 2, widths[i], widths[i + 1])
+        window = 4 * widths[i]  # a 2x2 stride-2 conv's, He init
+        lin(f"enc.down{i}", window, widths[i + 1], std=np.sqrt(2.0 / window))
         res(f"enc.res{i + 1}", widths[i + 1])
     attn("enc.attn", widths[-1])
     lin("enc.head", widths[-1], 2 * cfg.latent_channels, std=0.02)
@@ -113,188 +124,148 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
     for i in reversed(range(cfg.num_down_stages)):
         lin(f"dec.up{i}", widths[i + 1], 4 * widths[i])
         res(f"dec.res{i}", widths[i])
-    conv("dec.out", 3, 3, widths[0], cfg.grid_dims[2] * cfg.num_classes)
+    conv("dec.out", widths[0], cfg.grid_dims[2] * cfg.num_classes)
     p["dec.out.w"] *= 0.02
     return p
 
 
 # ---------------------------------------------------------------------------
-# Building blocks (forward + matching backward)
+# Building blocks: each forward pushes the steps of its backward on a tape
 # ---------------------------------------------------------------------------
 
 
-def _conv_silu(p, name, x, stride, padding):
-    y, c_conv = nn.conv2d(x, p[f"{name}.w"], p[f"{name}.b"], stride, padding)
-    out, c_act = nn.silu(y)
-    return out, (c_conv, c_act)
-
-
-def _conv_silu_backward(p, grads, name, dout, cache):
-    c_conv, c_act = cache
-    d = nn.silu_backward(dout, c_act)
-    dx, dw, db = nn.conv2d_backward(d, c_conv)
-    nn.accumulate(grads, f"{name}.w", dw)
-    nn.accumulate(grads, f"{name}.b", db)
-    return dx
-
-
-def _resblock(p, name, x):
-    a, c1 = nn.silu(x)
-    h, c2 = nn.conv2d(a, p[f"{name}.c1.w"], p[f"{name}.c1.b"], 1, 1)
-    a2, c3 = nn.silu(h)
-    h2, c4 = nn.conv2d(a2, p[f"{name}.c2.w"], p[f"{name}.c2.b"], 1, 1)
-    return x + h2, (c1, c2, c3, c4)
-
-
-def _resblock_backward(p, grads, name, dout, cache):
-    c1, c2, c3, c4 = cache
-    d, dw2, db2 = nn.conv2d_backward(dout, c4)
-    nn.accumulate(grads, f"{name}.c2.w", dw2)
-    nn.accumulate(grads, f"{name}.c2.b", db2)
-    d = nn.silu_backward(d, c3)
-    d, dw1, db1 = nn.conv2d_backward(d, c2)
-    nn.accumulate(grads, f"{name}.c1.w", dw1)
-    nn.accumulate(grads, f"{name}.c1.b", db1)
-    return dout + nn.silu_backward(d, c1)
-
-
-def _axial_attention(p, name, x, heads):
-    """Row attention then column attention, each pre-normalized and residual."""
-    caches = []
-    h = x
-    for axis in ("row", "col"):
-        seq = h if axis == "row" else h.swapaxes(1, 2)
-        xn, c_ln = nn.layernorm(seq)
-        q, cq = nn.linear(xn, p[f"{name}.{axis}.wq"])
-        k, ck = nn.linear(xn, p[f"{name}.{axis}.wk"])
-        v, cv = nn.linear(xn, p[f"{name}.{axis}.wv"])
-        a, c_at = nn.masked_attention(q, k, v, heads)
-        o, co = nn.linear(a, p[f"{name}.{axis}.wo"])
-        out = seq + o
-        h = out if axis == "row" else out.swapaxes(1, 2)
-        caches.append((c_ln, cq, ck, cv, c_at, co))
-    return h, caches
-
-
-def _axial_attention_backward(p, grads, name, dout, caches, heads):
-    d = dout
-    for axis, cache in zip(("col", "row"), reversed(caches)):
-        c_ln, cq, ck, cv, c_at, co = cache
-        dseq = d if axis == "row" else d.swapaxes(1, 2)
-        da, dwo, _ = nn.linear_backward(dseq, co)
-        nn.accumulate(grads, f"{name}.{axis}.wo", dwo)
-        dq, dk, dv = nn.masked_attention_backward(da, c_at)
-        dxn = np.zeros_like(dq)
-        for dproj, cproj, pname in ((dq, cq, "wq"), (dk, ck, "wk"), (dv, cv, "wv")):
-            dx_part, dw, _ = nn.linear_backward(dproj, cproj)
-            nn.accumulate(grads, f"{name}.{axis}.{pname}", dw)
-            dxn += dx_part
-        dseq = dseq + nn.layernorm_backward(dxn, c_ln)
-        d = dseq if axis == "row" else dseq.swapaxes(1, 2)
+def _replay(tape: list, d: np.ndarray, grads: dict) -> np.ndarray:
+    """Run a tape's steps last to first; returns the gradient of its input."""
+    for step in reversed(tape):
+        d = step(d, grads)
     return d
 
 
+def _affine(tape, name, fwd, layer_backward):
+    """Push the step of a layer with weights ``{name}.w`` and ``{name}.b``."""
+    y, cache = fwd
+
+    def step(d, grads):
+        dx, dw, db = layer_backward(d, cache)
+        nn.accumulate(grads, f"{name}.w", dw)
+        nn.accumulate(grads, f"{name}.b", db)
+        return dx
+
+    tape.append(step)
+    return y
+
+
+def _conv(tape, p, name, x):
+    fwd = nn.conv2d(x, p[f"{name}.w"], p[f"{name}.b"])
+    return _affine(tape, name, fwd, nn.conv2d_backward)
+
+
+def _linear(tape, p, name, x):
+    fwd = nn.linear(x, p[f"{name}.w"], p[f"{name}.b"])
+    return _affine(tape, name, fwd, nn.linear_backward)
+
+
+def _silu(tape, x):
+    y, cache = nn.silu(x)
+    tape.append(lambda d, grads: nn.silu_backward(d, cache))
+    return y
+
+
+def _rearranged(tape, y, back):
+    """``y``, a rearrangement of the last output; ``back`` undoes it on gradients."""
+    tape.append(lambda d, grads: back(d))
+    return y
+
+
+def _resblock(tape, p, name, x):
+    branch: list = []
+    h = _conv(branch, p, f"{name}.c1", _silu(branch, x))
+    h = _conv(branch, p, f"{name}.c2", _silu(branch, h))
+    tape.append(lambda d, grads: d + _replay(branch, d, grads))
+    return x + h
+
+
+def _attention(tape, p, name, seq, heads):
+    """Pre-normalized residual attention along axis 1 of ``seq``."""
+    xn, c_ln = nn.layernorm(seq)
+    projs = [nn.linear(xn, p[f"{name}.{proj}"]) for proj in ("wq", "wk", "wv")]
+    a, c_at = nn.masked_attention(*(y for y, _ in projs), heads)
+    o, co = nn.linear(a, p[f"{name}.wo"])
+
+    def step(d, grads):
+        da, dwo, _ = nn.linear_backward(d, co)
+        nn.accumulate(grads, f"{name}.wo", dwo)
+        dprojs = nn.masked_attention_backward(da, c_at)
+        dxn = np.zeros_like(dprojs[0])
+        for proj, (_, cache), dproj in zip(("wq", "wk", "wv"), projs, dprojs):
+            dx_part, dw, _ = nn.linear_backward(dproj, cache)
+            nn.accumulate(grads, f"{name}.{proj}", dw)
+            dxn += dx_part
+        return d + nn.layernorm_backward(dxn, c_ln)
+
+    tape.append(step)
+    return seq + o
+
+
+def _axial_attention(tape, p, name, x, heads):
+    """Row attention, then column attention on the transposed map."""
+    h = _attention(tape, p, f"{name}.row", x, heads)
+    h = _rearranged(tape, h.swapaxes(1, 2), lambda d: d.swapaxes(1, 2))
+    h = _attention(tape, p, f"{name}.col", h, heads)
+    return _rearranged(tape, h.swapaxes(1, 2), lambda d: d.swapaxes(1, 2))
+
+
 # ---------------------------------------------------------------------------
-# Flatten / encode / decode
+# Encode / decode
 # ---------------------------------------------------------------------------
 
 
-def vae_flatten(labels: np.ndarray, embed: np.ndarray):
-    """(B, X, Y, Z) class ids -> (B, X, Y, Z * C') stacked height embeddings.
+def vae_encode(params: dict, cfg: VaeConfig, labels: np.ndarray):
+    """(B, X, Y, Z) class ids -> (mu, logvar, tape).
 
-    Channel block z * C' .. (z + 1) * C' holds the embedding of height
-    slot z, ascending.
+    The 2D input map stacks each column's class embeddings along channels:
+    block z * C' .. (z + 1) * C' holds height slot z, ascending.
     """
-    emb, cache = nn.embedding(embed, labels)
-    b, x, y, z = labels.shape
-    return emb.reshape(b, x, y, z * embed.shape[1]), (cache, emb.shape)
-
-
-def vae_flatten_backward(dout: np.ndarray, cache) -> np.ndarray:
-    emb_cache, emb_shape = cache
-    return nn.embedding_backward(dout.reshape(emb_shape), emb_cache)
-
-
-def vae_encode(params: dict, cfg: VaeConfig, feat: np.ndarray):
-    """Feature map -> (mu, logvar, caches)."""
-    caches: dict = {}
-    h, caches["stem"] = _conv_silu(params, "enc.stem", feat, 1, 1)
-    h, caches["res0"] = _resblock(params, "enc.res0", h)
+    tape: list = []
+    emb, cache = nn.embedding(params["embed"], labels)
+    tape.append(lambda d, grads: nn.accumulate(
+        grads, "embed", nn.embedding_backward(d.reshape(*labels.shape, -1), cache)))
+    h = _silu(tape, _conv(tape, params, "enc.stem", emb.reshape(*labels.shape[:3], -1)))
+    h = _resblock(tape, params, "enc.res0", h)
     for i in range(cfg.num_down_stages):
-        h, caches[f"down{i}"] = _conv_silu(params, f"enc.down{i}", h, 2, 0)
-        h, caches[f"res{i + 1}"] = _resblock(params, f"enc.res{i + 1}", h)
-    h, caches["attn"] = _axial_attention(params, "enc.attn", h, cfg.attn_heads)
-    stats, caches["head"] = nn.linear(h, params["enc.head.w"], params["enc.head.b"])
+        h = _rearranged(tape, nn.space_to_depth(h, 2), lambda d: nn.depth_to_space(d, 2))
+        h = _silu(tape, _linear(tape, params, f"enc.down{i}", h))
+        h = _resblock(tape, params, f"enc.res{i + 1}", h)
+    h = _axial_attention(tape, params, "enc.attn", h, cfg.attn_heads)
+    stats = _linear(tape, params, "enc.head", h)
     cz = cfg.latent_channels
-    return stats[..., :cz], stats[..., cz:], caches
+    return stats[..., :cz], stats[..., cz:], tape
 
 
-def vae_encode_backward(params, grads, cfg, dmu, dlogvar, caches):
-    dstats = np.concatenate([dmu, dlogvar], axis=-1)
-    d, dw, db = nn.linear_backward(dstats, caches["head"])
-    nn.accumulate(grads, "enc.head.w", dw)
-    nn.accumulate(grads, "enc.head.b", db)
-    d = _axial_attention_backward(params, grads, "enc.attn", d, caches["attn"],
-                                  cfg.attn_heads)
-    for i in reversed(range(cfg.num_down_stages)):
-        d = _resblock_backward(params, grads, f"enc.res{i + 1}", d,
-                               caches[f"res{i + 1}"])
-        d = _conv_silu_backward(params, grads, f"enc.down{i}", d,
-                                caches[f"down{i}"])
-    d = _resblock_backward(params, grads, "enc.res0", d, caches["res0"])
-    return _conv_silu_backward(params, grads, "enc.stem", d, caches["stem"])
-
-
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray):
-    """z = mu + exp(logvar / 2) * noise."""
-    std = np.exp(0.5 * logvar)
-    return mu + std * noise, (std, noise)
-
-
-def reparameterize_backward(dz: np.ndarray, cache):
-    std, noise = cache
-    return dz, dz * noise * 0.5 * std
+def vae_encode_backward(grads, dmu, dlogvar, tape) -> None:
+    """Accumulate the encoder's gradients, the class embedding's included."""
+    _replay(tape, np.concatenate([dmu, dlogvar], axis=-1), grads)
 
 
 def vae_decode(params: dict, cfg: VaeConfig, z: np.ndarray):
-    """Latent -> per-voxel class logits (B, X, Y, Z, num_classes)."""
-    caches: dict = {}
-    h, caches["in"] = nn.linear(z, params["dec.in.w"], params["dec.in.b"])
-    h, caches["attn"] = _axial_attention(params, "dec.attn", h, cfg.attn_heads)
+    """Latent -> (per-voxel class logits (B, X, Y, Z, num_classes), tape)."""
+    tape: list = []
+    h = _linear(tape, params, "dec.in", z)
+    h = _axial_attention(tape, params, "dec.attn", h, cfg.attn_heads)
     n = cfg.num_down_stages
-    h, caches[f"res{n}"] = _resblock(params, f"dec.res{n}", h)
+    h = _resblock(tape, params, f"dec.res{n}", h)
     for i in reversed(range(n)):
-        u, caches[f"up{i}"] = nn.linear(h, params[f"dec.up{i}.w"],
-                                        params[f"dec.up{i}.b"])
-        h = nn.depth_to_space(u, 2)
-        h, caches[f"res{i}"] = _resblock(params, f"dec.res{i}", h)
-    logits, caches["out"] = nn.conv2d(h, params["dec.out.w"], params["dec.out.b"],
-                                      1, 1)
-    b, x, y, _ = logits.shape
-    out = logits.reshape(b, x, y, cfg.grid_dims[2], cfg.num_classes)
-    return out, caches
+        h = _linear(tape, params, f"dec.up{i}", h)
+        h = _rearranged(tape, nn.depth_to_space(h, 2), lambda d: nn.space_to_depth(d, 2))
+        h = _resblock(tape, params, f"dec.res{i}", h)
+    logits = _conv(tape, params, "dec.out", h)
+    out = logits.reshape(*logits.shape[:3], cfg.grid_dims[2], cfg.num_classes)
+    return _rearranged(tape, out, lambda d: d.reshape(*d.shape[:3], -1)), tape
 
 
-def vae_decode_backward(params, grads, cfg, dlogits, caches):
-    b, x, y, z, c = dlogits.shape
-    d = dlogits.reshape(b, x, y, z * c)
-    d, dw, db = nn.conv2d_backward(d, caches["out"])
-    nn.accumulate(grads, "dec.out.w", dw)
-    nn.accumulate(grads, "dec.out.b", db)
-    n = cfg.num_down_stages
-    for i in range(n):
-        d = _resblock_backward(params, grads, f"dec.res{i}", d, caches[f"res{i}"])
-        d = nn.space_to_depth(d, 2)
-        d, dw, db = nn.linear_backward(d, caches[f"up{i}"])
-        nn.accumulate(grads, f"dec.up{i}.w", dw)
-        nn.accumulate(grads, f"dec.up{i}.b", db)
-    d = _resblock_backward(params, grads, f"dec.res{n}", d, caches[f"res{n}"])
-    d = _axial_attention_backward(params, grads, "dec.attn", d, caches["attn"],
-                                  cfg.attn_heads)
-    d, dw, db = nn.linear_backward(d, caches["in"])
-    nn.accumulate(grads, "dec.in.w", dw)
-    nn.accumulate(grads, "dec.in.b", db)
-    return d
+def vae_decode_backward(grads, dlogits, tape):
+    """Accumulate the decoder's gradients; returns the latent's."""
+    return _replay(tape, dlogits, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +281,10 @@ def vae_train_step(
     rng: np.random.Generator,
 ) -> dict:
     """One step on a (B, X, Y, Z) label batch; accumulates gradients."""
-    feat, flat_cache = vae_flatten(labels, params["embed"])
-    mu, logvar, enc_caches = vae_encode(params, cfg, feat)
+    mu, logvar, enc_tape = vae_encode(params, cfg, labels)
     noise = rng.standard_normal(mu.shape)
-    z, rep_cache = reparameterize(mu, logvar, noise)
-    logits, dec_caches = vae_decode(params, cfg, z)
+    std = np.exp(0.5 * logvar)  # z = mu + exp(logvar / 2) * noise
+    logits, dec_tape = vae_decode(params, cfg, mu + std * noise)
 
     voxel_weights = None
     if cfg.class_weights is not None:
@@ -326,12 +296,10 @@ def vae_train_step(
     dlogits = dlogits + cfg.lovasz_weight * nn.softmax_backward(dprobs, probs)
     l_kl, dmu_kl, dlogvar_kl = kl_standard_normal(mu, logvar)
 
-    dz = vae_decode_backward(params, grads, cfg, dlogits, dec_caches)
-    dmu, dlogvar = reparameterize_backward(dz, rep_cache)
-    dmu = dmu + cfg.kl_weight * dmu_kl
-    dlogvar = dlogvar + cfg.kl_weight * dlogvar_kl
-    dfeat = vae_encode_backward(params, grads, cfg, dmu, dlogvar, enc_caches)
-    nn.accumulate(grads, "embed", vae_flatten_backward(dfeat, flat_cache))
+    dz = vae_decode_backward(grads, dlogits, dec_tape)
+    dmu = dz + cfg.kl_weight * dmu_kl
+    dlogvar = dz * noise * 0.5 * std + cfg.kl_weight * dlogvar_kl
+    vae_encode_backward(grads, dmu, dlogvar, enc_tape)
 
     total = l_focal + cfg.lovasz_weight * l_lovasz + cfg.kl_weight * l_kl
     return {"loss": total, "focal": l_focal, "lovasz": l_lovasz, "kl": l_kl}
@@ -339,8 +307,7 @@ def vae_train_step(
 
 def vae_encode_mean(params: dict, cfg: VaeConfig, labels: np.ndarray) -> np.ndarray:
     """Deterministic latent (zero-noise reparameterization): z = mu."""
-    feat, _ = vae_flatten(labels, params["embed"])
-    mu, _, _ = vae_encode(params, cfg, feat)
+    mu, _, _ = vae_encode(params, cfg, labels)
     return mu
 
 

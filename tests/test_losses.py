@@ -147,6 +147,17 @@ class TestLovasz:
         loss, _ = losses.lovasz_softmax(probs, np.array([0]))
         assert abs(loss - e) < 1e-12
 
+    def test_hard_predictions_give_one_minus_iou(self):
+        # on 0/1 errors the Lovasz extension is the Jaccard loss itself
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            n, c = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            t, pred = rng.integers(0, c, n), rng.integers(0, c, n)
+            loss, _ = losses.lovasz_softmax(np.eye(c)[pred], t)
+            ious = [((t == k) & (pred == k)).sum() / ((t == k) | (pred == k)).sum()
+                    for k in np.unique(t)]
+            assert abs(loss - np.mean([1.0 - iou for iou in ious])) <= 1e-12
+
     def test_non_negative(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

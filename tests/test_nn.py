@@ -69,9 +69,14 @@ def reference_embedding_backward(dout: np.ndarray, cache) -> np.ndarray:
     return dtable
 
 
+def reference_same_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The oracle at nn.conv2d's signature, for the square kernels the VAE uses."""
+    return reference_conv2d(x, w, b, padding=w.shape[0] // 2)
+
+
 REFERENCE_LAYERS = {
     "sigmoid": reference_sigmoid,
-    "conv2d": reference_conv2d,
+    "conv2d": reference_same_conv2d,
     "conv2d_backward": reference_conv2d_backward,
     "embedding_backward": reference_embedding_backward,
 }
@@ -206,38 +211,44 @@ class TestAttention:
         assert nn.grad_check(f, [q, k, v], rng=rng) < 1e-5
 
 
-def check_conv_against_reference(rng, x, w, stride, padding, dout_view=False):
+def check_conv_against_reference(rng, x, w, dout_view=False):
     """Bitwise check of nn.conv2d and its backward against the oracle pair.
 
-    With ``dout_view`` the output gradient is the interior view of a larger
-    map, as the VAE passes the previous backward's unpadded input gradient.
+    The oracle runs on the input padded by k // 2 per side, and its input
+    gradient is cropped back. With ``dout_view`` the output gradient is the
+    interior view of a larger map, as the VAE passes the previous
+    backward's unpadded input gradient.
     """
+    kh, kw = w.shape[:2]
+    bsz, h, wd, _ = x.shape
     b = rng.normal(size=w.shape[-1])
-    y, cache = nn.conv2d(x, w, b, stride, padding)
-    y_ref, cache_ref = reference_conv2d(x, w, b, stride, padding)
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    y, cache = nn.conv2d(x, w, b)
+    y_ref, cache_ref = reference_conv2d(xp, w, b)
     assert_same_bits(y, y_ref)
-    pad = ((0, 0), (padding, padding), (padding, padding), (0, 0))
-    assert_same_bits(cache[0], np.pad(x, pad))
-    assert cache[1] is w and cache[2:] == (stride, padding)
+    assert y.shape[1:3] == x.shape[1:3]
+    assert len(cache) == 2 and cache[1] is w
+    assert_same_bits(cache[0], xp)
     if dout_view:
-        bsz, ho, wo, cout = y.shape
-        dout = rng.normal(size=(bsz, ho + 2, wo + 2, cout))[:, 1:-1, 1:-1, :]
+        dout = rng.normal(size=(bsz, h + 2, wd + 2, w.shape[-1]))[:, 1:-1, 1:-1, :]
         assert not dout.flags.c_contiguous
     else:
         dout = rng.normal(size=y.shape)
-    for got, want in zip(nn.conv2d_backward(dout, cache),
-                         reference_conv2d_backward(dout, cache_ref)):
-        assert_same_bits(got, want)
+    dx, dw, db = nn.conv2d_backward(dout, cache)
+    dxp_ref, dw_ref, db_ref = reference_conv2d_backward(dout, cache_ref)
+    assert_same_bits(dx, dxp_ref[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd])
+    assert_same_bits(dw, dw_ref)
+    assert_same_bits(db, db_ref)
 
 
 def vae_conv_shapes(monkeypatch) -> list:
-    """Sorted (x shape, w shape, stride, padding) of every conv the VAE runs."""
+    """Sorted (x shape, w shape) of every conv the VAE runs."""
     shapes = set()
     conv2d = nn.conv2d
 
-    def recording_conv2d(x, w, b=None, stride=1, padding=0):
-        shapes.add((x.shape, w.shape, stride, padding))
-        return conv2d(x, w, b, stride, padding)
+    def recording_conv2d(x, w, b):
+        shapes.add((x.shape, w.shape))
+        return conv2d(x, w, b)
 
     cfg = vae.VaeConfig()
     params = vae.init_vae_params(cfg, np.random.default_rng(23))
@@ -250,6 +261,16 @@ def vae_conv_shapes(monkeypatch) -> list:
     return sorted(shapes)
 
 
+def strided_conv_as_linear(x, w, b):
+    """The VAE's down-sampling: a 2x2 stride-2 conv as linear(space_to_depth)."""
+    return nn.linear(nn.space_to_depth(x, 2), w.reshape(-1, w.shape[-1]), b)
+
+
+def strided_conv_as_linear_backward(dout, cache):
+    dcols, dw, db = nn.linear_backward(dout, cache)
+    return nn.depth_to_space(dcols, 2), dw, db
+
+
 class TestConvPool:
     def test_conv_grad(self):
         rng = np.random.default_rng(15)
@@ -258,7 +279,7 @@ class TestConvPool:
         b = rng.normal(size=(4,))
 
         def f(x, w, b):
-            y, cache = nn.conv2d(x, w, b, stride=1, padding=1)
+            y, cache = nn.conv2d(x, w, b)
             return y, lambda d: nn.conv2d_backward(d, cache)
 
         assert nn.grad_check(f, [x, w, b], rng=rng, max_coords=60) < 1e-6
@@ -267,72 +288,98 @@ class TestConvPool:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(1, 8, 8, 2))
         w = rng.normal(size=(2, 2, 2, 3)) * 0.4
-        b = np.zeros(3)
+        b = rng.normal(size=3)
 
         def f(x, w, b):
-            y, cache = nn.conv2d(x, w, b, stride=2, padding=0)
-            return y, lambda d: nn.conv2d_backward(d, cache)
+            y, cache = strided_conv_as_linear(x, w, b)
+            return y, lambda d: [g.reshape(t.shape) for g, t in
+                                 zip(strided_conv_as_linear_backward(d, cache), (x, w, b))]
 
         assert nn.grad_check(f, [x, w, b], rng=rng, max_coords=60) < 1e-6
 
-    @pytest.mark.parametrize("kernel, stride, padding, hw", [
-        ((1, 1), 1, 0, (7, 5)),
-        ((1, 1), 2, 1, (7, 5)),
-        ((3, 3), 2, 1, (7, 5)),
-        ((2, 2), 2, 0, (6, 8)),  # the VAE's downsampling conv
-        ((3, 2), 1, 2, (5, 7)),
+    @pytest.mark.parametrize("kernel, hw", [
+        ((1, 1), (7, 5)),
+        ((3, 3), (7, 5)),  # the VAE's conv
+        ((1, 3), (6, 8)),
+        ((5, 3), (5, 7)),
     ])
-    def test_conv_grad_shapes(self, kernel, stride, padding, hw):
+    def test_conv_grad_shapes(self, kernel, hw):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(2, *hw, 3))
         w = rng.normal(size=(*kernel, 3, 2)) * 0.4
         b = rng.normal(size=(2,))
 
         def f(x, w, b):
-            y, cache = nn.conv2d(x, w, b, stride=stride, padding=padding)
+            y, cache = nn.conv2d(x, w, b)
             return y, lambda d: nn.conv2d_backward(d, cache)
 
         assert nn.grad_check(f, [x, w, b], rng=rng, max_coords=40) < 1e-6
 
     def test_conv_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
-            nn.conv2d(np.zeros((1, 4, 4, 3)), np.zeros((3, 3, 2, 4)))
+            nn.conv2d(np.zeros((1, 4, 4, 3)), np.zeros((3, 3, 2, 4)), np.zeros(4))
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_conv_rejects_even_kernel_sides(self, kernel):
+        with pytest.raises(ValueError, match="odd"):
+            nn.conv2d(np.zeros((1, 4, 4, 3)), np.zeros((*kernel, 3, 4)), np.zeros(4))
 
     def test_conv_matches_reference_bitwise(self):
         rng = np.random.default_rng(22)
-        kernels = [(1, 1), (2, 2), (3, 3), (1, 3), (3, 2)]
-        for kernel, stride, padding, hw in itertools.product(
-                kernels, (1, 2), (0, 1, 2), [(7, 5), (6, 9), (5, 5), (8, 8)]):
+        kernels = [(1, 1), (3, 3), (1, 3), (3, 1), (5, 3)]
+        for kernel, hw in itertools.product(kernels, [(7, 5), (6, 9), (5, 5), (8, 8)]):
             x = rng.normal(size=(2, *hw, 3))
             w = rng.normal(size=(*kernel, 3, 4))
-            check_conv_against_reference(rng, x, w, stride, padding)
+            check_conv_against_reference(rng, x, w)
 
     def test_conv_matches_reference_on_vae_shapes(self, monkeypatch):
         shapes = vae_conv_shapes(monkeypatch)
-        assert len(shapes) >= 5 and {shape[2] for shape in shapes} == {1, 2}
+        # stem and res0 share a shape; dec.out is the only 32 -> 48
+        assert len(shapes) == 4 and {w_shape[:2] for _, w_shape in shapes} == {(3, 3)}
         rng = np.random.default_rng(25)
-        for x_shape, w_shape, stride, padding in shapes:
+        for x_shape, w_shape in shapes:
             x = rng.normal(size=x_shape)
             w = rng.normal(size=w_shape) * 0.1
-            check_conv_against_reference(rng, x, w, stride, padding)
+            check_conv_against_reference(rng, x, w)
 
     def test_conv_backward_non_contiguous_dout_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(28)
-        for x_shape, w_shape, stride, padding in vae_conv_shapes(monkeypatch):
+        for x_shape, w_shape in vae_conv_shapes(monkeypatch):
             x = rng.normal(size=x_shape)
             w = rng.normal(size=w_shape) * 0.1
-            check_conv_against_reference(rng, x, w, stride, padding, dout_view=True)
-        for kernel, stride, padding in itertools.product(
-                [(1, 1), (2, 2), (3, 3), (3, 2)], (1, 2), (0, 1, 2)):
+            check_conv_against_reference(rng, x, w, dout_view=True)
+        for kernel in [(1, 1), (3, 3), (3, 1), (1, 5)]:
             x = rng.normal(size=(2, 7, 6, 3))
             w = rng.normal(size=(*kernel, 3, 4))
-            check_conv_against_reference(rng, x, w, stride, padding, dout_view=True)
+            check_conv_against_reference(rng, x, w, dout_view=True)
+
+    @pytest.mark.parametrize("x_shape, cout", [((2, 32, 32, 32), 48), ((2, 16, 16, 48), 64)])
+    def test_downsampling_matches_strided_reference_conv(self, x_shape, cout):
+        # the VAE's down stages at the default config, against the strided conv
+        # they replace; the second output gradient is a non-contiguous view
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(2, 2, x_shape[-1], cout)) * 0.1
+        b = rng.normal(size=cout)
+        y, cache = strided_conv_as_linear(x, w, b)
+        y_ref, cache_ref = reference_conv2d(x, w, b, stride=2, padding=0)
+        assert_same_bits(y, y_ref)
+        bsz, ho, wo, _ = y.shape
+        douts = [rng.normal(size=y.shape),
+                 rng.normal(size=(bsz, ho + 2, wo + 2, cout))[:, 1:-1, 1:-1, :]]
+        assert not douts[1].flags.c_contiguous
+        for dout in douts:
+            dx, dw, db = strided_conv_as_linear_backward(dout, cache)
+            dx_ref, dw_ref, db_ref = reference_conv2d_backward(dout, cache_ref)
+            assert_same_bits(dx, dx_ref)
+            assert_same_bits(dw.reshape(w.shape), dw_ref)
+            assert_same_bits(db, db_ref)
 
     def test_conv_cache_holds_no_more_than_padded_input_and_weights(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(2, 16, 16, 8))
         w = rng.normal(size=(3, 3, 8, 8))
-        _, cache = nn.conv2d(x, w, rng.normal(size=8), stride=1, padding=1)
+        _, cache = nn.conv2d(x, w, rng.normal(size=8))
         held = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
         # the (2, 16, 16, 72) im2col columns alone are 9 * x.nbytes
         assert held <= 2 * 18 * 18 * 8 * x.itemsize + w.nbytes

@@ -13,10 +13,16 @@ module-level function, or a public method of a public class, in
 ``occbench/`` that is not a test. Names in strings do not count. The
 others are listed in ``ALLOWLIST`` with their reason; an entry that names
 no public function, or whose function has gained a caller, fails too.
+
+Every default is a value some caller changes. Each defaulted parameter of
+a public function needs a call in those caller modules, to a function of
+the same name, that passes it by keyword, by position or through ``*`` or
+``**``. The others are listed in ``DEFAULTS_ALLOWLIST`` as
+``module.function(parameter)`` with their reason; stale entries fail.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -53,6 +59,17 @@ ALLOWLIST: dict[str, str] = {
     "losses.sample_logit_normal": (
         "the only user of the sigmoid import in losses, which the benchmark's "
         "tracer wraps as losses.sigmoid; it goes when the tracer drops that entry"),
+}
+
+
+_TUNED = "a test tool; the tests tune it"
+_TRACED = "goes with its function, when the benchmark's tracer drops losses.sigmoid"
+
+DEFAULTS_ALLOWLIST: dict[str, str] = {
+    **{f"nn.grad_check({name})": _TUNED for name in ("eps", "rng", "max_coords")},
+    **{f"losses.sample_logit_normal({name})": _TRACED
+       for name in ("location", "scale", "size")},
+    "core.panoptic_encode(schema)": "its stuff/free rule depends on the schema",
 }
 
 
@@ -125,3 +142,44 @@ def test_every_public_function_has_a_caller_or_a_reason():
 def test_allowlist_is_not_stale():
     # an entry that names no public function is not among the uncalled ones either
     assert sorted(ALLOWLIST.keys() - uncalled_public_functions()) == []
+
+
+def defaulted_parameters(node: ast.FunctionDef, method: bool):
+    """(name, index among a call's positional arguments or None) per default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    bound = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                               for d in node.decorator_list)
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passes(call: ast.Call, name: str, index: int | None) -> bool:
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return (any(k.arg in (None, name) for k in call.keywords)
+            or index is not None and (starred or len(call.args) > index))
+
+
+def unpassed_defaults() -> set[str]:
+    calls: dict[str, list[ast.Call]] = defaultdict(list)
+    for path in CALLER_MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls[node.func.id].append(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls[node.func.attr].append(node)
+    return {f"{qualname}({name})" for path in MODULES
+            for qualname, node in public_functions(parse(path), path.stem)
+            for name, index in defaulted_parameters(node, qualname.count(".") == 2)
+            if not any(passes(call, name, index) for call in calls[node.name])}
+
+
+def test_every_default_is_passed_by_a_caller_or_has_a_reason():
+    assert sorted(unpassed_defaults() - DEFAULTS_ALLOWLIST.keys()) == []
+
+
+def test_defaults_allowlist_is_not_stale():
+    assert sorted(DEFAULTS_ALLOWLIST.keys() - unpassed_defaults()) == []

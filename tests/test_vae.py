@@ -83,6 +83,13 @@ def test_train_steps_bitwise_equal_to_reference_layers(monkeypatch):
             assert grads[name].tobytes() == grads_ref[name].tobytes(), name
 
 
+def test_every_parameter_gets_a_gradient():
+    params = init_vae_params(CFG, np.random.default_rng(15))
+    grads = nn.zero_grads(params)
+    vae_train_step(params, grads, CFG, tiny_batch(16, batch=2), np.random.default_rng(17))
+    assert [name for name, g in grads.items() if not g.any()] == []
+
+
 def test_loss_falls_when_overfitting_one_grid():
     params = init_vae_params(CFG, np.random.default_rng(5))
     state = nn.adam_init(params)
@@ -107,6 +114,12 @@ def test_loss_falls_when_overfitting_one_grid():
     {"attn_heads": 0},
     {"class_weights": (1.0,) * 5},
     {"class_weights": ()},
+    {"grid_dims": (8, 8, 0)},
+    {"grid_dims": (0, 0, 2)},
+    {"grid_dims": (-4, -4, 2)},
+    {"class_embed_dim": 0},
+    {"num_classes": 0},
+    {"latent_channels": 0},
 ])
 def test_config_rejects_what_would_fail_later(change):
     with pytest.raises(ValueError):
@@ -135,7 +148,7 @@ def test_train_step_loss_gradient_matches_finite_differences(class_weights):
     cfg = dataclasses.replace(CFG, class_weights=class_weights, kl_weight=0.1)
     params = init_vae_params(cfg, np.random.default_rng(8))
     labels = tiny_batch(9, batch=2)
-    names = ["embed", "enc.stem.w", "enc.res1.c2.w", "enc.attn.row.wq",
+    names = ["embed", "enc.stem.w", "enc.down0.w", "enc.res1.c2.w", "enc.attn.row.wq",
              "enc.attn.col.wo", "enc.head.w", "dec.in.w", "dec.attn.row.wk",
              "dec.up0.w", "dec.res0.c1.w", "dec.out.w", "dec.out.b"]
 
