@@ -82,16 +82,52 @@ def voxelize_majority(
     return grid
 
 
+def _nearest(points: np.ndarray, query: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared distances of each query's k nearest points,
+    each row ordered by (squared distance, point index).
+
+    The tree proposes k + 3 candidates per row and numpy recomputes their
+    squared distances. A row whose k-th squared distance reaches its last
+    candidate's (less a 1e-12 relative margin, which covers the tree's own
+    rounding) may have an uncounted tie, so it is queried again with twice
+    as many candidates, until the count reaches the cloud size.
+    """
+    n = len(points)
+    # under the rule every build gives the same answer; this was the fastest measured
+    tree = cKDTree(points, leafsize=64, balanced_tree=False, compact_nodes=False)
+    idx = np.empty((len(query), k), dtype=np.intp)
+    sq = np.empty((len(query), k))
+    rows, m = np.arange(len(query)), min(k + 3, n)
+    while len(rows):
+        q = query[rows]
+        cand = tree.query(q, k=m)[1].reshape(len(rows), m)
+        dx, dy, dz = (points[cand, a] - q[:, a, None] for a in range(3))
+        cand_sq = (dx * dx + dy * dy) + dz * dz
+        order = np.lexsort((cand, cand_sq))
+        cand = np.take_along_axis(cand, order, axis=1)
+        cand_sq = np.take_along_axis(cand_sq, order, axis=1)
+        idx[rows], sq[rows] = cand[:, :k], cand_sq[:, :k]
+        if m == n:
+            break
+        again = cand_sq[:, k - 1] >= cand_sq[:, -1] * (1.0 - 1e-12)
+        rows, m = rows[again], min(2 * m, n)
+    return idx, sq
+
+
 def knn_propagate(
     labeled: LabeledPointCloud, query: np.ndarray, k: int
 ) -> np.ndarray:
     """Majority label of the k nearest labeled points per query point.
 
-    Majority ties break toward the nearest tied member's label, then
-    toward the smaller label; k is clamped to the labeled-set size. The
-    vote runs over all queries at once: each row of neighbour labels is
-    sorted, so one label's members form a run whose length is its count
-    and whose minimum distance is its nearest member.
+    The k nearest are the first k labeled points ordered by squared
+    distance, computed in float64 as ``(dx*dx + dy*dy) + dz*dz``, then by
+    their index in ``labeled``; so the k-d tree's build never changes the
+    output. Majority ties break toward the nearest tied member's label,
+    then toward the smaller label; k is clamped to the labeled-set size.
+    The vote runs over all queries at once: each row of neighbour labels
+    is sorted, so one label's members form a run whose length is its
+    count and whose minimum distance is its nearest member.
     """
     if len(labeled) == 0:
         raise ValueError("empty labeled set")
@@ -99,14 +135,11 @@ def knn_propagate(
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
     k = min(k, len(labeled))
-    tree = cKDTree(labeled.points)
-    dist, idx = tree.query(query, k=k)
-    if k == 1:
-        return labeled.labels[np.atleast_1d(idx)]
-    lab = labeled.labels[np.atleast_2d(idx)]
+    idx, sq = _nearest(labeled.points, query, k)
+    lab = labeled.labels[idx]
     order = np.argsort(lab, axis=1, kind="stable")
     lab = np.take_along_axis(lab, order, axis=1).reshape(-1)
-    dist = np.take_along_axis(np.atleast_2d(dist), order, axis=1).reshape(-1)
+    dist = np.sqrt(np.take_along_axis(sq, order, axis=1)).reshape(-1)
     # runs of one label within one row; every row starts a run
     new_run = np.ones(lab.size, dtype=bool)
     new_run[1:] = lab[1:] != lab[:-1]

@@ -18,6 +18,8 @@ layer's backward and accumulates the gradients of its named parameters.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -42,6 +44,17 @@ class VaeConfig:
 
     def __post_init__(self):
         x, y, _ = self.grid_dims
+        sizes = (*self.grid_dims, self.num_classes, self.class_embed_dim,
+                 self.latent_channels, self.spatial_downsample, *self.hidden,
+                 self.attn_heads)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in sizes):
+            raise ValueError("sizes, widths and head counts must be integers")
+        if not all(0.0 <= v < math.inf
+                   for v in (self.focal_gamma, self.lovasz_weight, self.kl_weight)):
+            raise ValueError("focal_gamma and the loss weights must be finite and >= 0")
+        if self.class_weights is not None and not np.all(np.isfinite(self.class_weights)):
+            raise ValueError("class_weights must be finite")
         if min(*self.grid_dims, self.num_classes, self.class_embed_dim,
                self.latent_channels) <= 0:
             raise ValueError("grid, class, embedding and latent sizes must be positive")

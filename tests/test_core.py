@@ -177,6 +177,31 @@ class TestLayoutRasterize:
         assert mask.sum() == 4
         assert not (layout.bits & ~np.uint16(1 << 3)).any()
 
+    def test_yawed_box_footprint_includes_its_edges(self):
+        # 8x8 cells of 0.5 m, centres at -1.75 + 0.5 i; the box sits on cell
+        # (4, 4), yawed so that (cos, sin) = (0.8, 0.6). With half-side
+        # cos(yaw), the cells 1 m from its centre along world x and y lie
+        # exactly on its edges, in float too, and count as inside.
+        yaw = np.arctan2(0.6, 0.8)
+        side = 2.0 * np.cos(yaw)
+        box = OrientedBox(center=(0.25, 0.25, 0.0), size=(side, side, 1.0),
+                          yaw=yaw, class_id=4)
+        layout = layout_rasterize([box], [], width=8, height=8, resolution=0.5,
+                                  channels=15, schema=SCHEMA)
+        # by hand: |4u + 3v| <= 8 and |-3u + 4v| <= 8 for offsets (u, v) in cells
+        inside = [(-2, 0), (-1, -1), (-1, 0), (-1, 1), (0, -2), (0, -1), (0, 0),
+                  (0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 0)]
+        expect = np.zeros((8, 8), dtype=bool)
+        expect[tuple(np.array(inside).T + 4)] = True
+        assert np.array_equal(layout.channel_mask(3), expect)
+
+    def test_cell_centres_start_half_a_cell_from_the_origin(self):
+        layout = BevLayout(4, 6, 0.5, 1)
+        assert layout.origin_xy == (-1.0, -1.5)
+        xs, ys = layout.cell_centers()
+        assert (xs[0, 0], ys[0, 0]) == (-0.75, -1.25)
+        assert (xs[3, 5], ys[3, 5]) == (0.75, 1.25)
+
     def test_multi_hot_overlap(self):
         box = OrientedBox(center=(0.0, 0.0, 0.0), size=(1.6, 1.6, 1.0),
                           yaw=0.0, class_id=1)  # channel 0
@@ -331,3 +356,12 @@ def test_points_in_polygon_square():
     pts = np.array([[1.0, 1.0], [3.0, 1.0], [-0.5, 0.5], [1.5, 1.9]])
     inside = points_in_polygon(pts, square)
     assert inside.tolist() == [True, False, False, True]
+
+
+def test_points_in_polygon_slanted_edge():
+    # right triangle whose hypotenuse runs from (4, 1) to (0, 5): x + y = 5
+    tri = np.array([[0, 1], [4, 1], [0, 5]], dtype=float)
+    pts = np.array([[1.0, 2.0], [2.5, 2.0], [1.0, 3.9], [3.0, 3.0], [2.0, 3.5],
+                    [-1.0, 2.0], [1.0, 0.5]])
+    inside = points_in_polygon(pts, tri)
+    assert inside.tolist() == [True, True, True, False, False, False, False]

@@ -31,6 +31,34 @@ def test_occg_wide_labels(tmp_path):
     assert np.array_equal(loaded, labels)
 
 
+# magic, version and dims, voxel size and origin, label width
+OCCG_HEADER = 4 + 16 + 16 + 1
+
+
+@pytest.mark.parametrize("top, width", [(255, 1), (256, 2), (65535, 2)])
+def test_occg_label_width_boundaries(tmp_path, top, width):
+    spec = GridSpec(dims=(2, 2, 2), origin=(0, 0, 0), voxel_size=1.0)
+    labels = np.arange(8, dtype=np.int64).reshape(2, 2, 2)
+    labels[1, 1, 1] = top
+    path = tmp_path / "w.occg"
+    fileio.save_occg(path, spec, labels)
+    assert path.stat().st_size == OCCG_HEADER + 8 * width
+    _, loaded = fileio.load_occg(path)
+    assert loaded.dtype.itemsize == width
+    assert np.array_equal(loaded, labels)
+
+
+@pytest.mark.parametrize("bad", [65536, -1])
+def test_occg_rejects_labels_outside_16_bits(tmp_path, bad):
+    spec = GridSpec(dims=(2, 2, 2), origin=(0, 0, 0), voxel_size=1.0)
+    labels = np.zeros(spec.dims, dtype=np.int64)
+    labels[0, 1, 0] = bad
+    path = tmp_path / "bad.occg"
+    with pytest.raises(ValueError):
+        fileio.save_occg(path, spec, labels)
+    assert not path.exists()
+
+
 def test_occg_serialization_order(tmp_path):
     # x-major / y-middle / z-minor flat order
     spec = GridSpec(dims=(2, 2, 2), origin=(0, 0, 0), voxel_size=1.0)
@@ -122,7 +150,7 @@ def test_occg_truncated_and_oversized(tmp_path):
     raw = path.read_bytes()
     for cut in (3, 10, len(raw) - 1):
         path.write_bytes(raw[:cut])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="declared"):  # refused before reading
             fileio.load_occg(path)
     # a header declaring 4000^3 two-byte labels, followed by a few bytes
     header = b"OCCG" + struct.pack("<IIII", 1, 4000, 4000, 4000)

@@ -96,21 +96,23 @@ class TestVoxelize:
 
 
 def knn_oracle(labeled, query, k):
-    out = np.empty(len(query), dtype=np.int64)
+    """Brute force under knn_propagate's rule: the k nearest by squared
+    distance ``(dx*dx + dy*dy) + dz*dz``, then by index; then a per-row
+    np.unique vote, ties to the nearest tied member, then the smaller label."""
+    query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
     k = min(k, len(labeled))
+    out = np.empty(len(query), dtype=np.int64)
     for qi, q in enumerate(query):
-        d = np.linalg.norm(labeled.points - q, axis=1)
-        order = np.argsort(d, kind="stable")[:k]
-        neigh = labeled.labels[order]
-        counts = {}
-        best_dist = {}
-        for j, lab in enumerate(neigh):
-            counts[lab] = counts.get(lab, 0) + 1
-            best_dist.setdefault(lab, d[order[j]])
-            best_dist[lab] = min(best_dist[lab], d[order[j]])
-        top = max(counts.values())
-        tied = [lab for lab, c in counts.items() if c == top]
-        out[qi] = min(tied, key=lambda lab: (best_dist[lab], lab))
+        d = labeled.points - q
+        sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+        near = np.argsort(sq, kind="stable")[:k]
+        values, inv, counts = np.unique(labeled.labels[near], return_inverse=True,
+                                        return_counts=True)
+        min_dist = np.full(len(values), np.inf)
+        np.minimum.at(min_dist, inv, np.sqrt(sq[near]))
+        tied = counts == counts.max()
+        cand_lab, cand_dist = values[tied], min_dist[tied]
+        out[qi] = cand_lab[np.lexsort((cand_lab, cand_dist))[0]]
     return out
 
 
@@ -146,8 +148,8 @@ class TestKnn:
                 rng.normal(size=(60, 3)),
                 rng.choice([1001, 1002, 2001, 11000], size=60))
             query = rng.normal(size=(40, 3))
-            assert np.array_equal(knn_propagate(labeled, query, k),
-                                  knn_oracle(labeled, query, k))
+            assert_bitwise(knn_propagate(labeled, query, k),
+                           knn_oracle(labeled, query, k))
 
 
 class TestFitAsset:
@@ -173,6 +175,13 @@ class TestFitAsset:
         spans = fitted.max(axis=0) - fitted.min(axis=0)
         assert abs(spans[0] - 2.0) < 1e-9  # length now along world x
         assert abs(spans[1] - 1.0) < 1e-9
+
+    def test_bounding_box_midpoint_lands_on_the_centre(self):
+        # extents (1, 2, 4) and midpoint (0.5, 2, 1); the mean is elsewhere
+        asset = np.array([[0, 1, -1], [1, 3, 3], [0.9, 2.9, 2.9], [0.8, 2.8, 2.8]])
+        box = OrientedBox(center=(5.0, -2.0, 1.0), size=(1.0, 2.0, 4.0), yaw=0.0)
+        assert np.allclose(fit_asset_to_box(asset, box),
+                           asset - [0.5, 2.0, 1.0] + [5.0, -2.0, 1.0], atol=1e-12)
 
     def test_random_property(self):
         rng = np.random.default_rng(13)
@@ -290,33 +299,6 @@ def reference_voxelize_majority(cloud, spec, schema):
     return grid
 
 
-def reference_knn_propagate(labeled, query, k):
-    if len(labeled) == 0:
-        raise ValueError("empty labeled set")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
-    k = min(k, len(labeled))
-    tree = cKDTree(labeled.points)
-    dist, idx = tree.query(query, k=k)
-    if k == 1:
-        return labeled.labels[np.atleast_1d(idx)]
-    dist = np.atleast_2d(dist)
-    idx = np.atleast_2d(idx)
-    out = np.empty(len(query), dtype=np.int64)
-    for qi in range(len(query)):
-        neigh_lab = labeled.labels[idx[qi]]
-        values, inv, counts = np.unique(
-            neigh_lab, return_inverse=True, return_counts=True
-        )
-        min_dist = np.full(len(values), np.inf)
-        np.minimum.at(min_dist, inv, dist[qi])
-        tied = counts == counts.max()
-        cand_lab, cand_dist = values[tied], min_dist[tied]
-        out[qi] = cand_lab[np.lexsort((cand_lab, cand_dist))[0]]
-    return out
-
-
 def reference_remove_points_in_boxes(cloud, boxes):
     if len(cloud) == 0 or not boxes:
         return cloud
@@ -349,8 +331,7 @@ def assert_bitwise(a, b):
 
 class TestKnnOracle:
     def check(self, labeled, query, k):
-        assert_bitwise(knn_propagate(labeled, query, k),
-                       reference_knn_propagate(labeled, query, k))
+        assert_bitwise(knn_propagate(labeled, query, k), knn_oracle(labeled, query, k))
 
     def test_lattice_ties_and_duplicates(self):
         # integer lattice points and queries: many exactly equal distances,
@@ -396,6 +377,46 @@ class TestKnnOracle:
         for k in (1, 2, 3):
             self.check(labeled, np.zeros(3), k)
             self.check(labeled, np.zeros((0, 3)), k)
+
+    @pytest.mark.parametrize("build", [
+        {}, {"leafsize": 1}, {"balanced_tree": False},
+        {"leafsize": 64, "balanced_tree": False, "compact_nodes": False}],
+        ids=["default", "leaf1", "unbalanced", "unbalanced-loose-leaf64"])
+    def test_tree_build_does_not_change_labels(self, monkeypatch, build):
+        # lattice points, each repeated with other labels: ties at every distance
+        rng = np.random.default_rng(37)
+        base = rng.integers(-3, 4, size=(150, 3)).astype(np.float64)
+        pts = np.concatenate([base, base[rng.permutation(150)], base[:60]])
+        labeled = LabeledPointCloud(pts, rng.choice([1001, 2001, 4001, 11000],
+                                                    size=len(pts)))
+        query = rng.integers(-4, 5, size=(400, 3)).astype(np.float64)
+        monkeypatch.setattr(pipeline, "cKDTree", lambda p, **_: cKDTree(p, **build))
+        for k in (1, 2, 5, 8):
+            self.check(labeled, query, k)
+
+    def test_more_ties_than_candidates_are_queried_again(self, monkeypatch):
+        # 26 points at distance 1 from the origin query, 2 farther ones; k = 3
+        unit = np.concatenate([np.eye(3), -np.eye(3)])
+        pts = np.concatenate([np.tile(unit, (4, 1)), unit[:2], [[3.0, 0, 0], [0, 0, 2]]])
+        labeled = LabeledPointCloud(pts, np.arange(len(pts)) % 5 + 1001)
+        counts = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kw):
+                counts.append(k)
+                return super().query(x, k=k, **kw)
+
+        monkeypatch.setattr(pipeline, "cKDTree", lambda p, **kw: CountingTree(p, **kw))
+        self.check(labeled, np.array([[0.0, 0, 0], [2.9, 0, 0]]), 3)
+        assert counts == [6, 12, 24, 28]
+
+    def test_k1_on_duplicates_takes_the_smallest_index(self):
+        pts = np.repeat([[0.5, -1.0, 2.0], [1.5, -1.0, 2.0]], 40, axis=0)
+        labels = np.concatenate([[11000], np.arange(39) + 1001, [15000] * 40])
+        labeled = LabeledPointCloud(pts, labels)
+        got = knn_propagate(labeled, np.array([[0.5, -1.0, 2.0], [0.4, -1.0, 2.0],
+                                               [1.5, -1.0, 2.0]]), k=1)
+        assert_bitwise(got, np.array([11000, 11000, 15000]))
 
 
 class TestVoxelizeOracle:

@@ -449,6 +449,17 @@ def _look_yaw(yaw: float) -> Se3Pose:
     return Se3Pose(np.stack([right, down, fwd], axis=1), np.zeros(3))
 
 
+def test_standard_rig_roles_face_outward_on_the_unit_circle():
+    rig = standard_rig(z=1.25)
+    degrees = {"F": 0, "FL": 60, "FR": -60, "BL": 120, "BR": -120, "B": 180}
+    assert sorted(c.role for c in rig.cameras) == sorted(degrees)
+    for cam in rig.cameras:
+        yaw = np.deg2rad(degrees[cam.role])
+        fwd = np.array([np.cos(yaw), np.sin(yaw), 0.0])
+        assert np.allclose(cam.pose.rotation[:, 2], fwd, atol=1e-12), cam.role
+        assert np.allclose(cam.pose.translation, fwd + [0.0, 0.0, 1.25], atol=1e-12)
+
+
 class TestDensify:
     def test_zero_insertions_identity(self):
         rig = standard_rig()

@@ -120,6 +120,19 @@ def test_loss_falls_when_overfitting_one_grid():
     {"class_embed_dim": 0},
     {"num_classes": 0},
     {"latent_channels": 0},
+    {"grid_dims": (8.0, 8.0, 2.0)},
+    {"grid_dims": (8, 8, True)},
+    {"latent_channels": 2.5},
+    {"latent_channels": True},
+    {"hidden": (8.0, 8.0, 8.0)},
+    {"hidden": (8, 8, False)},
+    {"focal_gamma": -1.0},
+    {"kl_weight": float("nan")},
+    {"kl_weight": -1e-4},
+    {"lovasz_weight": float("nan")},
+    {"lovasz_weight": -1.0},
+    {"class_weights": (1.0, 1.0, float("nan"), 1.0, 1.0, 1.0)},
+    {"class_weights": (1.0, 1.0, 1.0, float("inf"), 1.0, 1.0)},
 ])
 def test_config_rejects_what_would_fail_later(change):
     with pytest.raises(ValueError):
