@@ -134,7 +134,7 @@ def panoptic_decode(label: np.ndarray | int):
     arr = np.asarray(label)
     if arr.size and (arr.min() < lo or arr.max() > hi):
         raise ValueError(f"panoptic label outside [{lo}, {hi}]")
-    s, i = arr // INSTANCE_BASE, arr % INSTANCE_BASE
+    s, i = np.divmod(arr, INSTANCE_BASE)
     return (s, i) if arr.ndim else (int(s), int(i))
 
 
@@ -162,12 +162,15 @@ class GridSpec:
 
     def world_to_index(self, points: np.ndarray) -> np.ndarray:
         """Voxel indices containing each point (may fall outside the grid)."""
-        p = np.asarray(points, dtype=np.float64)
-        return np.floor((p - np.asarray(self.origin)) / self.voxel_size).astype(np.int64)
+        q = np.asarray(points, dtype=np.float64) - np.asarray(self.origin)
+        return np.floor(np.divide(q, self.voxel_size, out=q), out=q).astype(np.int64)
 
     def index_in_bounds(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx)
-        return np.all((idx >= 0) & (idx < np.asarray(self.dims)), axis=-1)
+        ok = np.ones(idx.shape[:-1], dtype=bool)
+        for a, n in enumerate(self.dims):
+            ok &= (idx[..., a] >= 0) & (idx[..., a] < n)
+        return ok
 
     def index_to_center(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.float64)

@@ -56,10 +56,11 @@ def voxelize_majority(
     """Majority-vote voxelization over sorted (voxel, label) keys.
 
     Each voxel takes the most frequent panoptic label among the points
-    inside it; ties break toward the smaller label. Votes are counted as
-    runs of sorted packed (voxel, compacted label) keys, so memory stays
-    O(points) whatever the number of distinct labels. Points outside the
-    grid are dropped; voxels without points stay free.
+    inside it; ties break toward the smaller label. Votes are runs of
+    sorted packed (voxel, compacted label) keys, so memory stays O(points)
+    whatever the number of labels; a voxel's winner is the first key of its
+    run with the run's top count (linear time, float operations unchanged).
+    Points outside the grid are dropped; voxels without points stay free.
     """
     labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
     if len(cloud):
@@ -72,11 +73,13 @@ def voxelize_majority(
             lab_ids, lab_inv = np.unique(cloud.labels[keep], return_inverse=True)
             num_labels = len(lab_ids)
             keys, counts = np.unique(flat * num_labels + lab_inv, return_counts=True)
+            del flat, lab_inv
             vox = keys // num_labels
             starts = np.flatnonzero(np.r_[True, vox[1:] != vox[:-1]])
-            # stable lexsort, labels ascending per voxel: ties go to the smaller label
-            win = np.lexsort((-counts, vox))[starts]
-            labels.reshape(-1)[vox[win]] = lab_ids[keys[win] % num_labels]
+            run_top = np.maximum.reduceat(counts, starts)
+            top = counts == np.repeat(run_top, np.diff(starts, append=len(keys)))
+            win = np.minimum.reduceat(np.where(top, np.arange(len(keys)), len(keys)), starts)
+            labels.reshape(-1)[vox[starts]] = lab_ids[keys[win] % num_labels]
     grid = PanopticVoxelGrid(spec, labels)
     grid.validate(schema)
     return grid
@@ -182,24 +185,41 @@ def remove_points_in_boxes(
     A box runs its exact test, :meth:`OrientedBox.contains`, only on the
     points whose x and y lie in a square around its center of half-side
     ``r + 1e-9 * (1 + r + |cx| + |cy|)``, ``r`` being the radius of the
-    circle through the footprint's corners. The margin is far above the
-    rounding of the exact test, so no point it counts inside is skipped.
+    circle through the footprint's corners; the margin is far above the
+    exact test's rounding. Both tests (float operations unchanged) see only
+    the cells of a 256 x 256 table over the cloud's xy extent that a square
+    widened by more than its test's rounding reaches; binning is monotone.
     """
     if len(cloud) == 0 or not boxes:
         return cloud
-    x, y = cloud.points[:, 0], cloud.points[:, 1]
-    inside = np.zeros(len(cloud), dtype=bool)
-    for box in boxes:
-        cx, cy = box.center[0], box.center[1]
-        r = math.hypot(box.size[0], box.size[1]) / 2.0
-        r += 1e-9 * (1.0 + r + abs(cx) + abs(cy))
-        near = np.flatnonzero((np.abs(x - cx) <= r) & (np.abs(y - cy) <= r))
-        inside[near] |= box.contains(cloud.points[near])
-    return LabeledPointCloud(cloud.points[~inside], cloud.labels[~inside])
+    points = cloud.points
+    cxy = np.array([box.center[:2] for box in boxes], dtype=np.float64)
+    r = np.array([math.hypot(box.size[0], box.size[1]) / 2.0 for box in boxes])
+    r += 1e-9 * (1.0 + r + np.abs(cxy[:, 0]) + np.abs(cxy[:, 1]))
+    # per column, as reducing the (N, 2) view over axis 0 is ten times slower
+    lo, hi = (np.array([f(points[:, a]) for a in range(2)]) for f in (np.min, np.max))
+    width = np.maximum(hi / _BINS - lo / _BINS, np.finfo(np.float64).tiny)
+    reach, marked = (r + r / 2**20)[:, None], np.zeros((_BINS, _BINS), dtype=bool)
+    for (i0, j0), (i1, j1) in zip(*(np.clip((e - lo) / width, 0, _BINS - 1).astype(int)
+                                    for e in (cxy - reach, cxy + reach))):
+        marked[i0:i1 + 1, j0:j1 + 1] = True
+    buf, key = np.empty(len(points)), np.zeros(len(points), dtype=np.int32)
+    for a in range(2):
+        np.divide(np.subtract(points[:, a], lo[a], out=buf), width[a], out=buf)
+        key *= _BINS
+        key += np.minimum(buf, _BINS - 1, out=buf).astype(np.int32)
+    cand = np.flatnonzero(np.take(marked.reshape(-1), key))
+    del buf, key
+    x, y, keep = points[cand, 0], points[cand, 1], np.ones(len(points), dtype=bool)
+    for box, (cx, cy), rb in zip(boxes, cxy, r):
+        near = cand[(np.abs(x - cx) <= rb) & (np.abs(y - cy) <= rb)]
+        keep[near] &= ~box.contains(points[near])
+    # compress is faster on (N, 3) rows, a boolean index leaner on labels
+    return LabeledPointCloud(np.compress(keep, points, axis=0), cloud.labels[keep])
 
 
-# voxels per slab of resample_occupancy
-_SLAB_VOXELS = 1 << 14
+# cells per axis of remove_points_in_boxes' table; voxels per slab of resample_occupancy
+_BINS, _SLAB_VOXELS = 256, 1 << 14
 
 
 def resample_occupancy(
@@ -208,24 +228,31 @@ def resample_occupancy(
     """Resample the grid under an ego-frame change (nearest-neighbor labels).
 
     Output voxel centers are pulled back through the inverse transform
-    and read the containing input voxel; samples leaving the grid
-    become free. The grid is processed in slabs of whole x-planes, as
-    many planes as fit in 16384 voxels (at least one), each written into
-    the preallocated output, so memory stays at the output plus one slab.
+    and read the containing input voxel; samples leaving the grid become
+    free. Slabs of whole x-planes, up to 16384 voxels (at least one plane),
+    fill one reused buffer from per-axis centre rows; each source index is
+    floored in place, clipped per axis to [-1, n] and read by one ``take``
+    from a copy of the input framed by one free voxel. Float operations are
+    unchanged. Memory: output + one slab + one framed copy of the input.
     """
     spec = grid.spec
-    nx, ny, nz = spec.dims
-    inverse = shift.transform.inverse()
-    planes = max(1, _SLAB_VOXELS // (ny * nz))
-    out = np.full(spec.num_voxels, schema.free_class, dtype=grid.labels.dtype)
+    nx, ny, nz = dims = spec.dims
+    inverse, origin = shift.transform.inverse(), np.asarray(spec.origin)
+    rows = [origin[a] + (np.arange(n) + 0.5) * spec.voxel_size for a, n in enumerate(dims)]
+    planes = min(nx, max(1, _SLAB_VOXELS // (ny * nz)))
+    slab = np.stack(np.broadcast_arrays(rows[0][:planes, None, None], rows[1][:, None],
+                                        rows[2]), axis=-1)
+    framed = np.pad(grid.labels, 1, constant_values=schema.free_class)
+    stride = np.array([(ny + 2) * (nz + 2), nz + 2, 1.0])  # exact flat indices in float64
+    # per-axis constants tiled along a z column: rows of 3 broadcast slowly
+    origin_z, dims_z = np.tile(origin, nz), np.tile(dims, nz)
+    out = np.empty(spec.num_voxels, dtype=grid.labels.dtype)
     for x0 in range(0, nx, planes):
         x1 = min(nx, x0 + planes)
-        xs, ys, zs = np.meshgrid(np.arange(x0, x1), np.arange(ny), np.arange(nz),
-                                 indexing="ij")
-        centers = spec.index_to_center(np.stack([xs, ys, zs], axis=-1).reshape(-1, 3))
-        src = spec.world_to_index(inverse.apply(centers))
-        ok = spec.index_in_bounds(src)
-        src_ok = src[ok]
-        out[x0 * ny * nz:x1 * ny * nz][ok] = grid.labels[src_ok[:, 0], src_ok[:, 1],
-                                                         src_ok[:, 2]]
+        slab[:x1 - x0, ..., 0] = rows[0][x0:x1, None, None]
+        q = inverse.apply(slab[:x1 - x0].reshape(-1, 3)).reshape(-1, 3 * nz)
+        np.divide(np.subtract(q, origin_z, out=q), spec.voxel_size, out=q)
+        np.clip(np.floor(q, out=q), -1.0, dims_z, out=q)
+        src = (q.reshape(-1, 3) @ stride + stride.sum()).astype(np.intp)
+        np.take(framed.reshape(-1), src, out=out[x0 * ny * nz:x1 * ny * nz])
     return SemanticOccupancyGrid(spec, out.reshape(spec.dims))

@@ -365,3 +365,74 @@ def test_points_in_polygon_slanted_edge():
                     [-1.0, 2.0], [1.0, 0.5]])
     inside = points_in_polygon(pts, tri)
     assert inside.tolist() == [True, True, True, False, False, False, False]
+
+
+class TestBoundaries:
+    """Value tests at the equality of each range check."""
+
+    def test_layout_map_class_bound(self):
+        top = SCHEMA.num_classes - 1
+        for cls in (0, top):
+            assert LabelSchema(layout_channel_map={cls: 0}).layout_channel_map == {cls: 0}
+        with pytest.raises(ValueError, match="layout-mapped class"):
+            LabelSchema(layout_channel_map={SCHEMA.num_classes: 0})
+        with pytest.raises(ValueError, match="layout-mapped class"):
+            LabelSchema(layout_channel_map={-1: 0})
+
+    def test_panoptic_decode_range_ends(self):
+        assert panoptic_decode(17999) == (17, 999)
+        assert panoptic_decode(1000) == (1, 0)
+        s, i = panoptic_decode(np.array([1000, 17999]))
+        assert s.tolist() == [1, 17] and i.tolist() == [0, 999]
+        for bad in (999, 18000):
+            with pytest.raises(ValueError, match="outside"):
+                panoptic_decode(np.array([4007, bad]))
+
+    def test_semantic_validate_on_a_filled_grid(self):
+        spec = GridSpec(dims=(2, 2, 1), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
+        labels = np.array([0, 1, 7, SCHEMA.num_classes - 1]).reshape(spec.dims)
+        SemanticOccupancyGrid(spec, labels).validate(SCHEMA)
+        with pytest.raises(ValueError, match="negative"):
+            SemanticOccupancyGrid(spec, labels - 1).validate(SCHEMA)
+        with pytest.raises(ValueError, match="num_classes"):
+            SemanticOccupancyGrid(spec, labels + 1).validate(SCHEMA)
+
+    def test_channel_mask_range(self):
+        layout = BevLayout(3, 2, 0.5, 3)
+        layout.bits[0, 0] = 0b101
+        assert layout.channel_mask(0)[0, 0] and layout.channel_mask(2)[0, 0]
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                layout.channel_mask(bad)
+
+    def test_free_class_bound(self):
+        for free in (0, 5):
+            assert LabelSchema(num_classes=6, free_class=free).free_class == free
+        for free in (-1, 6):
+            with pytest.raises(ValueError, match="free_class"):
+                LabelSchema(num_classes=6, free_class=free)
+
+    def test_grid_spec_sizes(self):
+        assert GridSpec((1, 1, 1), (0.0, 0.0, 0.0), 1e-300).num_voxels == 1
+        with pytest.raises(ValueError, match="dims"):
+            GridSpec((4, 0, 2), (0.0, 0.0, 0.0), 0.4)
+        for bad in (0.0, -0.4):
+            with pytest.raises(ValueError, match="voxel_size"):
+                GridSpec((4, 4, 2), (0.0, 0.0, 0.0), bad)
+
+    def test_pose_shapes(self):
+        for r, t in ((np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2))):
+            with pytest.raises(ValueError, match="3x3"):
+                Se3Pose(r, t)
+
+    def test_layout_resolution_bound(self):
+        assert BevLayout(2, 2, 1e-300, 1).resolution == 1e-300
+        for bad in (0.0, -0.5):
+            with pytest.raises(ValueError, match="resolution"):
+                BevLayout(2, 2, bad, 1)
+
+    def test_polygon_edges_are_half_open(self):
+        # a point on the left or bottom edge is inside, on the right or top edge outside
+        square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
+        pts = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+        assert points_in_polygon(pts, square).tolist() == [True, True, False, False]

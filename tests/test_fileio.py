@@ -201,3 +201,20 @@ def test_pkpt_truncated_and_oversized(tmp_path):
     path.write_bytes(b"PKPT" + struct.pack("<II", 1, 2**32 - 1) + bytes(8))
     with pytest.raises(ValueError, match="truncated"):
         fileio.load_pkpt(path)
+
+
+def test_lpcd_rejects_wrong_shapes(tmp_path):
+    path = tmp_path / "bad.lpcd"
+    for pts, labels in ((np.zeros((4, 2)), np.zeros(4)), (np.zeros(3), np.zeros(3)),
+                        (np.zeros((4, 3)), np.zeros(5)), (np.zeros((2, 3, 1)), np.zeros(2))):
+        with pytest.raises(ValueError, match="points must be"):
+            fileio.save_lpcd(path, pts, labels)
+    assert not path.exists()
+
+
+def test_plane_containers_reject_wrong_shapes(tmp_path):
+    for save, good in ((fileio.save_cbuf, 3), (fileio.save_plkb, 6)):
+        for shape in ((5, 7, good - 1), (5, 7, good + 1), (5, 7), (5, 7, good, 1)):
+            with pytest.raises(ValueError, match="expected"):
+                save(tmp_path / "bad.bin", np.zeros(shape))
+    assert not (tmp_path / "bad.bin").exists()

@@ -273,15 +273,26 @@ class TestResample:
 
 # ---------------------------------------------------------------------------
 # Equality oracles: the loop implementations the vectorised stages replaced,
-# kept verbatim. The stages must match them bit for bit.
+# kept verbatim, with the old forms of the grid helpers they call. The stages
+# and helpers must match them bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def reference_world_to_index(spec, points):
+    p = np.asarray(points, dtype=np.float64)
+    return np.floor((p - np.asarray(spec.origin)) / spec.voxel_size).astype(np.int64)
+
+
+def reference_index_in_bounds(spec, idx):
+    idx = np.asarray(idx)
+    return np.all((idx >= 0) & (idx < np.asarray(spec.dims)), axis=-1)
 
 
 def reference_voxelize_majority(cloud, spec, schema):
     labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
     if len(cloud):
-        idx = spec.world_to_index(cloud.points)
-        keep = spec.index_in_bounds(idx)
+        idx = reference_world_to_index(spec, cloud.points)
+        keep = reference_index_in_bounds(spec, idx)
         idx, pts_labels = idx[keep], cloud.labels[keep]
         if len(idx):
             dims = np.asarray(spec.dims)
@@ -315,8 +326,8 @@ def reference_resample_occupancy(grid, shift, schema):
         indexing="ij",
     )
     centers = spec.index_to_center(np.stack([xs, ys, zs], axis=-1).reshape(-1, 3))
-    src = spec.world_to_index(shift.transform.inverse().apply(centers))
-    ok = spec.index_in_bounds(src)
+    src = reference_world_to_index(spec, shift.transform.inverse().apply(centers))
+    ok = reference_index_in_bounds(spec, src)
     out = np.full(spec.num_voxels, schema.free_class, dtype=grid.labels.dtype)
     src_ok = src[ok]
     out[ok] = grid.labels[src_ok[:, 0], src_ok[:, 1], src_ok[:, 2]]
@@ -559,11 +570,85 @@ class TestRemoveOracle:
         self.check(cloud, boxes)
         assert len(remove_points_in_boxes(cloud, boxes)) == 500
 
+    def boxes_over(self, pts, rng, count):
+        """Boxes centred on cloud points, so each one removes something."""
+        picks = pts[rng.choice(len(pts), size=count, replace=False)]
+        return [OrientedBox(tuple(p), tuple(rng.uniform(0.3, 2.0, size=3)),
+                            float(rng.uniform(-np.pi, np.pi))) for p in picks]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("extent", [0.0, 1e-13])
+    def test_flat_extent_along_one_axis(self, axis, extent):
+        rng = np.random.default_rng(45)
+        pts = rng.uniform(-3, 3, size=(2000, 3))
+        pts[:, axis] = 0.7 + rng.uniform(0, extent, size=len(pts))
+        cloud = LabeledPointCloud(pts, rng.integers(1001, 1100, size=len(pts)))
+        boxes = self.boxes_over(pts, rng, 4)
+        # a box whose side passes through the flat cloud: its rounding margin decides
+        centre = [0.0, 0.0, 0.0]
+        centre[axis] = 0.7 + 0.5
+        boxes.append(OrientedBox(tuple(centre), (1.0, 1.0, 2.0), 0.0))
+        self.check(cloud, boxes)
+        assert len(remove_points_in_boxes(cloud, boxes)) < len(pts)
+
+    def test_points_spread_over_a_billion_metres(self):
+        rng = np.random.default_rng(46)
+        far = rng.uniform(-5e8, 5e8, size=(12, 3))
+        near = np.concatenate([p + rng.uniform(-1, 1, size=(50, 3)) for p in far[:4]])
+        pts = np.concatenate([far, near])
+        cloud = LabeledPointCloud(pts, rng.integers(1001, 1100, size=len(pts)))
+        boxes = [OrientedBox(tuple(p), (1.5, 2.5, 2.0), float(yaw))
+                 for p, yaw in zip(far[:4], rng.uniform(-np.pi, np.pi, size=4))]
+        self.check(cloud, boxes)
+        assert len(remove_points_in_boxes(cloud, boxes)) < len(pts) - 4
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (-40.0, -30.0), (25.0, -60.0)])
+    def test_boxes_across_and_outside_the_cloud_bounds(self, offset):
+        rng = np.random.default_rng(47)
+        pts = rng.uniform(-2, 2, size=(3000, 3)) + np.array([*offset, 0.0])
+        cloud = LabeledPointCloud(pts, rng.integers(1001, 1100, size=len(pts)))
+        lo, hi = pts[:, :2].min(axis=0), pts[:, :2].max(axis=0)
+        ox, oy = offset
+        straddling = [OrientedBox((hi[0], oy, 0.0), (1.0, 2.0, 4.0), 0.3),
+                      OrientedBox((lo[0], hi[1], 0.0), (1.5, 1.5, 4.0), -0.8),
+                      OrientedBox((ox, lo[1], 0.0), (0.5, 1.0, 4.0), 0.0),
+                      OrientedBox((ox, oy, 0.0), (9.0, 9.0, 1.0), 0.1)]
+        outside = [OrientedBox((hi[0] + 3.0, oy, 0.0), (1.0, 1.0, 1.0), 0.0),
+                   OrientedBox((lo[0] - 2.0, lo[1] - 2.0, 0.0), (2.0, 2.0, 2.0), 0.7),
+                   OrientedBox((ox, 1e6, 0.0), (3.0, 3.0, 3.0), 0.2)]
+        for boxes in (straddling, outside, straddling + outside):
+            self.check(cloud, boxes)
+        assert len(remove_points_in_boxes(cloud, outside)) == len(pts)
+
+    def test_peak_memory_per_point(self):
+        rng = np.random.default_rng(48)
+        n = 200_000
+        pts = rng.uniform([-50.0, -50.0, -2.0], [50.0, 50.0, 3.0], size=(n, 3))
+        cloud = LabeledPointCloud(pts, rng.integers(1001, 1100, size=n))
+        boxes = [OrientedBox((float(x), float(y), 0.0), (2.0, 4.5, 1.6), float(yaw))
+                 for x, y, yaw in rng.uniform(-40, 40, size=(8, 3))]
+        tracemalloc.start()
+        try:
+            out = remove_points_in_boxes(cloud, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) < n
+        assert peak <= 40 * n
+
+
+def rotation(roll, pitch, yaw):
+    cr, sr, cp, sp = np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    return rx @ ry @ Se3Pose.from_yaw(yaw).rotation
+
 
 class TestResampleOracle:
     def check(self, grid, shift):
-        assert_bitwise(resample_occupancy(grid, shift, SCHEMA).labels,
-                       reference_resample_occupancy(grid, shift, SCHEMA).labels)
+        got = resample_occupancy(grid, shift, SCHEMA).labels
+        assert_bitwise(got, reference_resample_occupancy(grid, shift, SCHEMA).labels)
+        return got
 
     @pytest.mark.parametrize("slab_voxels", [1, 7, 64, pipeline._SLAB_VOXELS])
     def test_random_yaw_and_translation(self, monkeypatch, slab_voxels):
@@ -599,3 +684,61 @@ class TestResampleOracle:
             for _ in range(5):
                 self.check(grid, EgoShift(Se3Pose.from_yaw(
                     rng.uniform(-np.pi, np.pi), rng.choice([-0.5, 0.0, 0.25, 1.0], size=3))))
+
+    def test_roll_and_pitch(self):
+        rng = np.random.default_rng(41)
+        spec = GridSpec((13, 11, 9), (-2.6, -2.2, -1.8), 0.4)
+        grid = SemanticOccupancyGrid(
+            spec, rng.integers(0, SCHEMA.num_classes, size=spec.dims).astype(np.uint8))
+        for _ in range(10):
+            pose = Se3Pose(rotation(*rng.uniform(-np.pi, np.pi, size=3)),
+                           rng.normal(0, 1, size=3))
+            self.check(grid, EgoShift(pose))
+
+    def test_uint16_labels_keep_their_dtype(self):
+        rng = np.random.default_rng(42)
+        spec = GridSpec((9, 7, 5), (-1.8, -1.4, -1.0), 0.4)
+        grid = SemanticOccupancyGrid(
+            spec, rng.integers(0, 60000, size=spec.dims).astype(np.uint16))
+        shift = EgoShift(Se3Pose(rotation(0.3, -0.2, 1.1), (0.5, -0.3, 0.2)))
+        assert self.check(grid, shift).dtype == np.uint16
+        # a Fortran-ordered and a strided input read the same voxels
+        self.check(SemanticOccupancyGrid(spec, np.asfortranarray(grid.labels)), shift)
+        wide = np.zeros((9, 14, 5), dtype=np.uint16)
+        wide[:, ::2] = grid.labels
+        self.check(SemanticOccupancyGrid(spec, wide[:, ::2]), shift)
+
+    def test_shift_beyond_the_grid_reads_free(self):
+        rng = np.random.default_rng(43)
+        spec = GridSpec((6, 5, 4), (-1.2, -1.0, -0.8), 0.4)
+        grid = SemanticOccupancyGrid(spec, rng.integers(0, 5, size=spec.dims))
+        for t in [(3.0, 0.0, 0.0), (0.0, -50.0, 0.0), (0.0, 0.0, 2.0), (1e9, -1e9, 1e9)]:
+            got = self.check(grid, EgoShift(Se3Pose.from_yaw(0.4, t)))
+            assert np.all(got == SCHEMA.free_class)
+
+    def test_partial_last_slab(self):
+        # 37 planes of 600 voxels: slabs of 27 planes, then a slab of 10
+        rng = np.random.default_rng(44)
+        spec = GridSpec((37, 30, 20), (-7.4, -6.0, -4.0), 0.4)
+        assert spec.dims[0] % (pipeline._SLAB_VOXELS // 600) == 10
+        grid = SemanticOccupancyGrid(
+            spec, rng.integers(0, SCHEMA.num_classes, size=spec.dims).astype(np.uint8))
+        self.check(grid, EgoShift(Se3Pose(rotation(0.05, 0.1, -0.7), (1.3, 0.2, -0.1))))
+
+
+class TestIndexInBoundsOracle:
+    def corners(self, spec):
+        """Every (i, j, k) with each coordinate in {-1, 0, n - 1, n}."""
+        axes = [np.array([-1, 0, n - 1, n]) for n in spec.dims]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+
+    @pytest.mark.parametrize("dims", [(8, 8, 4), (1, 5, 3), (2, 1, 1)])
+    def test_boundaries_in_every_shape(self, dims):
+        spec = GridSpec(dims, (0.0, 0.0, 0.0), 0.5)
+        idx = self.corners(spec)
+        assert reference_index_in_bounds(spec, idx).sum() == 8  # 0 and n - 1 per axis
+        assert_bitwise(spec.index_in_bounds(idx), reference_index_in_bounds(spec, idx))
+        block = idx[:8].reshape(2, 4, 3)
+        assert_bitwise(spec.index_in_bounds(block), reference_index_in_bounds(spec, block))
+        for one in idx:
+            assert_bitwise(spec.index_in_bounds(one), reference_index_in_bounds(spec, one))

@@ -5,6 +5,7 @@ from occkit.core import (GROUND_BAND_Z, BevLayout, GridSpec, LabelSchema, Se3Pos
                          SemanticOccupancyGrid)
 from occkit.render import (
     Camera,
+    GeometryBuffers,
     CameraRig,
     camera_from_json,
     densify_rig,
@@ -528,3 +529,33 @@ def test_camera_non_finite_focal_rejected(bad):
         with pytest.raises(ValueError, match="finite"):
             Camera(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4,
                    pose=Se3Pose.identity())
+
+
+def test_principal_point_range_ends():
+    for cx, cy in ((0.0, 0.0), (3.99, 0.0), (0.0, 3.99)):
+        cam = Camera(fx=1, fy=1, cx=cx, cy=cy, width=4, height=4, pose=Se3Pose.identity())
+        assert (cam.cx, cam.cy) == (cx, cy)
+    for cx, cy in ((-1e-9, 0.0), (4.0, 0.0), (0.0, -1e-9), (0.0, 4.0)):
+        with pytest.raises(ValueError, match="principal point"):
+            Camera(fx=1, fy=1, cx=cx, cy=cy, width=4, height=4, pose=Se3Pose.identity())
+
+
+def test_negative_insertions_rejected():
+    with pytest.raises(ValueError, match=">= 0"):
+        densify_rig(standard_rig(), -1)
+
+
+def test_buffers_validate_moment_orthogonality():
+    d = np.array([1.0, 0.0, 0.0])
+
+    def buffers(moment):
+        return GeometryBuffers(semantic=np.zeros((1, 1), dtype=np.uint8),
+                               coordinate=np.zeros((1, 1, 3)),
+                               plucker=np.concatenate([d, moment]).reshape(1, 1, 6),
+                               hit_mask=np.zeros((1, 1), dtype=bool))
+
+    buffers(np.array([0.0, 2.0, -3.0])).validate()
+    buffers(np.array([1e-12, 2.0, -3.0])).validate()  # at the tolerance
+    for bad in ([2e-12, 2.0, -3.0], [0.5, 0.0, 0.0], [-1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="orthogonal"):
+            buffers(np.array(bad)).validate()
