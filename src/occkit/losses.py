@@ -11,6 +11,8 @@ import numpy as np
 
 from .nn import sigmoid
 
+FOCAL_GAMMA = 2.0
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     # a chain of maxima over the class columns is exact in any order, and
@@ -39,39 +41,23 @@ def _rows_and_targets(
     return p, t
 
 
-def focal_loss(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    gamma: float = 2.0,
-    voxel_weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean -(1 - p_t)^gamma * log(p_t), optionally per-voxel weighted.
-
-    Takes ``probs = softmax(logits)`` and returns the gradient with respect to
-    those logits. gamma = 0 reduces to plain cross-entropy.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+def focal_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean -(1 - p_t)^FOCAL_GAMMA * log(p_t) over the rows of ``probs =
+    softmax(logits)``; returns the gradient with respect to those logits."""
     if not np.all(np.isfinite(probs)):
         raise ValueError("non-finite probabilities")
     p, t = _rows_and_targets(probs, targets)
     n = len(p)
-    w = np.ones(n) if voxel_weights is None else np.asarray(voxel_weights).reshape(-1)
-    if len(w) != n:
-        raise ValueError("need one voxel weight per probability row")
     idx = np.arange(n)
-    # keep 1 - p_t strictly positive so the gamma > 0 power stays finite
+    # keep 1 - p_t strictly positive so the powers of it stay finite
     pt = np.clip(p[idx, t], 1e-300, np.nextafter(1.0, 0.0))
     one_m = 1.0 - pt
     log_pt = np.log(pt)
-    per_voxel = -(one_m ** gamma) * log_pt
-    loss = float((w * per_voxel).sum() / n)
+    per_voxel = -(one_m ** FOCAL_GAMMA) * log_pt
+    loss = float(per_voxel.sum() / n)
 
-    if gamma > 0:
-        dfdp = gamma * one_m ** (gamma - 1.0) * log_pt - one_m ** gamma / pt
-    else:
-        dfdp = -1.0 / pt
-    coeff = (w / n) * dfdp * pt  # chain through softmax: dp_t/dz_j = p_t (delta - p_j)
+    dfdp = FOCAL_GAMMA * one_m ** (FOCAL_GAMMA - 1.0) * log_pt - one_m ** FOCAL_GAMMA / pt
+    coeff = (1.0 / n) * dfdp * pt  # chain through softmax: dp_t/dz_j = p_t (delta - p_j)
     dlogits = -coeff[:, None] * p
     dlogits[idx, t] += coeff
     return loss, dlogits.reshape(probs.shape)

@@ -12,30 +12,12 @@ from .core import BevLayout, LabelSchema, SemanticOccupancyGrid, bev_topdown_pro
 class ConfusionMatrix:
     """Square count table; rows index ground truth, columns prediction."""
 
-    def __init__(self, num_classes: int, counts: np.ndarray | None = None):
-        if counts is None:
-            counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (num_classes, num_classes):
-            raise ValueError("counts shape mismatch")
-        if np.any(counts < 0):
-            raise ValueError("negative counts")
+    def __init__(self, num_classes: int):
         self.num_classes = num_classes
-        self.counts = counts
+        self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-def accumulate_labels(gt: np.ndarray, pred: np.ndarray, acc: ConfusionMatrix) -> ConfusionMatrix:
-    g = np.asarray(gt).reshape(-1).astype(np.int64)
-    p = np.asarray(pred).reshape(-1).astype(np.int64)
-    if g.shape != p.shape:
-        raise ValueError("label arrays differ in size")
-    c = acc.num_classes
-    flat = np.bincount(g * c + p, minlength=c * c)
-    acc.counts += flat.reshape(c, c)
-    return acc
 
 
 def confusion_accumulate(
@@ -46,7 +28,14 @@ def confusion_accumulate(
     """Add one grid pair into the running matrix: counts[gt][pred] += 1."""
     if pred.spec != gt.spec:
         raise ValueError("grid specs differ")
-    return accumulate_labels(gt.labels, pred.labels, acc)
+    c = acc.num_classes
+    for labels in (gt.labels, pred.labels):
+        if labels.min() < 0 or labels.max() >= c:
+            raise ValueError("label out of range for the matrix")
+    g = gt.labels.reshape(-1).astype(np.int64)
+    p = pred.labels.reshape(-1).astype(np.int64)
+    acc.counts += np.bincount(g * c + p, minlength=c * c).reshape(c, c)
+    return acc
 
 
 def per_class_iou(matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -242,15 +242,12 @@ def accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
     grads[name] += g
 
 
-def grad_global_norm(grads: Mapping[str, np.ndarray]) -> float:
+def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale the gradients in place to a global norm <= max_norm; returns the old norm."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
-    return math.sqrt(total)
-
-
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    norm = grad_global_norm(grads)
+    norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():

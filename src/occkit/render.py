@@ -17,12 +17,13 @@ bit-identical results. The entry set-up runs on the same (3, N) rows, with
 the same float operations per element: about 3.5-4 ms of a 35-40 ms
 160x90 call, against 7.8-8.4 ms for the short-axis reductions and gathers
 of (N, 3) arrays. The occupancy array with its border is rebuilt in every
-call, about 3 ms. There is no empty-space skipping, because under
-the identical-results rule it lost in numpy on that rig (2-core host):
+call, about 3 ms. There is no empty-space skipping, because it lost
+in numpy on that rig (2-core host):
 
-* Block leaping cut voxel steps per ray from 73 to 24, but the pass got
-  only 1.1x faster, and restarting the traversal after a leap rounds
-  near-tie crossing times differently: 1 of 345,600 rays changed voxel.
+* Leaping 8x8x1 empty bricks, with crossing times from integer boundary
+  counts, gave bit-identical buffers and cut loop iterations per call from
+  224 to 74, but the pass got 1.44x slower: numpy spent 283 ms per pass
+  on about 25 k switches per camera between leaping and stepping.
 * Clipping rays to a coarse per-column max-height removed 43% of the
   path length, but building and applying it cost 0.9 s per rig, more
   than the 0.6 s it saved.

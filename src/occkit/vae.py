@@ -28,36 +28,38 @@ from . import nn
 from .losses import focal_loss, kl_standard_normal, lovasz_softmax, softmax
 
 
+# fixed widths: the class embedding of each height slot, and the latent
+CLASS_EMBED_DIM = 4
+LATENT_CHANNELS = 8
+
+
 @dataclass(frozen=True)
 class VaeConfig:
+    """The settings callers change; the loss terms and widths are fixed.
+
+    The benchmark fits ``grid_dims``, ``num_classes`` and ``spatial_downsample``
+    to its crop. Tests shrink the model with ``hidden`` and ``attn_heads``, and
+    the finite-difference test raises ``kl_weight`` so a wrong KL gradient shows.
+    """
+
     grid_dims: tuple[int, int, int] = (32, 32, 8)
     num_classes: int = 6
-    class_embed_dim: int = 4
-    latent_channels: int = 8
     spatial_downsample: int = 4
     hidden: tuple[int, int, int] = (32, 48, 64)
     attn_heads: int = 4
-    focal_gamma: float = 2.0
-    lovasz_weight: float = 1.0
     kl_weight: float = 1e-4
-    class_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         x, y, _ = self.grid_dims
-        sizes = (*self.grid_dims, self.num_classes, self.class_embed_dim,
-                 self.latent_channels, self.spatial_downsample, *self.hidden,
-                 self.attn_heads)
+        sizes = (*self.grid_dims, self.num_classes, self.spatial_downsample,
+                 *self.hidden, self.attn_heads)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in sizes):
             raise ValueError("sizes, widths and head counts must be integers")
-        if not all(0.0 <= v < math.inf
-                   for v in (self.focal_gamma, self.lovasz_weight, self.kl_weight)):
-            raise ValueError("focal_gamma and the loss weights must be finite and >= 0")
-        if self.class_weights is not None and not np.all(np.isfinite(self.class_weights)):
-            raise ValueError("class_weights must be finite")
-        if min(*self.grid_dims, self.num_classes, self.class_embed_dim,
-               self.latent_channels) <= 0:
-            raise ValueError("grid, class, embedding and latent sizes must be positive")
+        if not 0.0 <= self.kl_weight < math.inf:
+            raise ValueError("kl_weight must be finite and >= 0")
+        if min(*self.grid_dims, self.num_classes) <= 0:
+            raise ValueError("grid and class sizes must be positive")
         if self.spatial_downsample not in (1, 2, 4, 8):
             raise ValueError("downsample must be a power of two <= 8")
         if x % self.spatial_downsample or y % self.spatial_downsample:
@@ -66,8 +68,6 @@ class VaeConfig:
             raise ValueError("hidden needs at least one positive width")
         if self.attn_heads <= 0 or _stage_widths(self)[-1] % self.attn_heads:
             raise ValueError("attn_heads must divide the attention width")
-        if self.class_weights is not None and len(self.class_weights) != self.num_classes:
-            raise ValueError("class_weights needs one weight per class")
 
     @property
     def latent_hw(self) -> tuple[int, int]:
@@ -120,8 +120,8 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
             p[f"{name}.{axis}.wo"] = rng.normal(0, 0.1 / np.sqrt(c), size=(c, c))
 
     widths = _stage_widths(cfg)
-    p["embed"] = rng.normal(0, 1.0, size=(cfg.num_classes, cfg.class_embed_dim))
-    cin = cfg.grid_dims[2] * cfg.class_embed_dim
+    p["embed"] = rng.normal(0, 1.0, size=(cfg.num_classes, CLASS_EMBED_DIM))
+    cin = cfg.grid_dims[2] * CLASS_EMBED_DIM
     conv("enc.stem", cin, widths[0])
     res("enc.res0", widths[0])
     for i in range(cfg.num_down_stages):
@@ -129,9 +129,9 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
         lin(f"enc.down{i}", window, widths[i + 1], std=np.sqrt(2.0 / window))
         res(f"enc.res{i + 1}", widths[i + 1])
     attn("enc.attn", widths[-1])
-    lin("enc.head", widths[-1], 2 * cfg.latent_channels, std=0.02)
+    lin("enc.head", widths[-1], 2 * LATENT_CHANNELS, std=0.02)
 
-    lin("dec.in", cfg.latent_channels, widths[-1])
+    lin("dec.in", LATENT_CHANNELS, widths[-1])
     attn("dec.attn", widths[-1])
     res(f"dec.res{cfg.num_down_stages}", widths[-1])
     for i in reversed(range(cfg.num_down_stages)):
@@ -237,7 +237,8 @@ def vae_encode(params: dict, cfg: VaeConfig, labels: np.ndarray):
     """(B, X, Y, Z) class ids -> (mu, logvar, tape).
 
     The 2D input map stacks each column's class embeddings along channels:
-    block z * C' .. (z + 1) * C' holds height slot z, ascending.
+    block z * C' .. (z + 1) * C' holds height slot z, ascending, where
+    C' is ``CLASS_EMBED_DIM``.
     """
     tape: list = []
     emb, cache = nn.embedding(params["embed"], labels)
@@ -251,8 +252,7 @@ def vae_encode(params: dict, cfg: VaeConfig, labels: np.ndarray):
         h = _resblock(tape, params, f"enc.res{i + 1}", h)
     h = _axial_attention(tape, params, "enc.attn", h, cfg.attn_heads)
     stats = _linear(tape, params, "enc.head", h)
-    cz = cfg.latent_channels
-    return stats[..., :cz], stats[..., cz:], tape
+    return stats[..., :LATENT_CHANNELS], stats[..., LATENT_CHANNELS:], tape
 
 
 def vae_encode_backward(grads, dmu, dlogvar, tape) -> None:
@@ -299,14 +299,10 @@ def vae_train_step(
     std = np.exp(0.5 * logvar)  # z = mu + exp(logvar / 2) * noise
     logits, dec_tape = vae_decode(params, cfg, mu + std * noise)
 
-    voxel_weights = None
-    if cfg.class_weights is not None:
-        voxel_weights = np.asarray(cfg.class_weights)[labels.reshape(-1)]
     probs = softmax(logits)
-    l_focal, dlogits = focal_loss(probs, labels, gamma=cfg.focal_gamma,
-                                  voxel_weights=voxel_weights)
+    l_focal, dlogits = focal_loss(probs, labels)
     l_lovasz, dprobs = lovasz_softmax(probs, labels)
-    dlogits = dlogits + cfg.lovasz_weight * nn.softmax_backward(dprobs, probs)
+    dlogits = dlogits + nn.softmax_backward(dprobs, probs)
     l_kl, dmu_kl, dlogvar_kl = kl_standard_normal(mu, logvar)
 
     dz = vae_decode_backward(grads, dlogits, dec_tape)
@@ -314,7 +310,7 @@ def vae_train_step(
     dlogvar = dz * noise * 0.5 * std + cfg.kl_weight * dlogvar_kl
     vae_encode_backward(grads, dmu, dlogvar, enc_tape)
 
-    total = l_focal + cfg.lovasz_weight * l_lovasz + cfg.kl_weight * l_kl
+    total = l_focal + l_lovasz + cfg.kl_weight * l_kl
     return {"loss": total, "focal": l_focal, "lovasz": l_lovasz, "kl": l_kl}
 
 

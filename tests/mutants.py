@@ -73,9 +73,10 @@ def main() -> int:
             shutil.copytree(ROOT / "src" / "occkit", pkg)
             (pkg / f"{args.module}.py").write_text(text)
             try:
+                # -o pythonpath= drops the ini's src/, which would shadow the copy
                 return subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                     "tests"], cwd=ROOT, env=env, capture_output=True,
+                     "-o", "pythonpath=", "tests"], cwd=ROOT, env=env, capture_output=True,
                     timeout=TIMEOUT_S).returncode == 0
             except subprocess.TimeoutExpired:
                 return False

@@ -77,34 +77,23 @@ TIE_CASES = ["eighths", "half"]
 
 
 class TestFocal:
-    def test_gamma_zero_is_cross_entropy(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(40, 5))
-        targets = rng.integers(0, 5, size=40)
-        p = losses.softmax(logits)
-        loss, _ = losses.focal_loss(p, targets, gamma=0.0)
-        ce = -np.log(p[np.arange(40), targets]).mean()
-        assert abs(loss - ce) < 1e-12
-
     def test_confident_prediction_vanishes(self):
         logits = np.array([[30.0, 0.0]])
-        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]), gamma=2.0)
+        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]))
         assert loss < 1e-10
 
     def test_half_probability_closed_form(self):
         logits = np.array([[0.0, 0.0]])
-        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]), gamma=2.0)
+        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]))
         assert abs(loss - 0.25 * np.log(2.0)) < 1e-12
 
     def test_grad(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 4))
         targets = rng.integers(0, 4, size=6)
-        w = rng.uniform(0.5, 2.0, size=6)
 
         def f(logits):
-            loss, d = losses.focal_loss(losses.softmax(logits), targets, gamma=2.0,
-                                        voxel_weights=w)
+            loss, d = losses.focal_loss(losses.softmax(logits), targets)
             return np.asarray(loss), lambda dd: (dd * d,)
 
         assert nn.grad_check(f, [logits], rng=rng) < 1e-6
@@ -119,18 +108,9 @@ class TestFocal:
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(2, 8, 8, 4, 6)) * 3.0
         targets = rng.integers(0, 6, size=(2, 8, 8, 4))
-        w = rng.uniform(0.5, 2.0, size=targets.size)
-        loss, d = losses.focal_loss(losses.softmax(logits), targets, voxel_weights=w)
-        loss_r, d_r = losses.focal_loss(losses.softmax(logits.reshape(-1, 6)),
-                                        targets, voxel_weights=w)
+        loss, d = losses.focal_loss(losses.softmax(logits), targets)
+        loss_r, d_r = losses.focal_loss(losses.softmax(logits.reshape(-1, 6)), targets)
         assert loss == loss_r and d.tobytes() == d_r.tobytes()
-
-    @pytest.mark.parametrize("weights", [[5.0], [1.0, 2.0, 3.0], np.ones((2, 4))],
-                             ids=["one", "too_few", "too_many"])
-    def test_wrong_length_voxel_weights_rejected(self, weights):
-        probs = losses.softmax(np.random.default_rng(3).normal(size=(4, 3)))
-        with pytest.raises(ValueError, match="one voxel weight per"):
-            losses.focal_loss(probs, np.array([0, 1, 2, 1]), voxel_weights=np.array(weights))
 
 
 class TestLovasz:
@@ -286,6 +266,11 @@ class TestLogitNormal:
         rng = np.random.default_rng(12)
         taus = losses.sample_logit_normal(rng, 30.0, 0.1, size=100)
         assert np.all(taus > 0.999)
+
+    def test_saturated_draws_stay_inside(self):
+        rng = np.random.default_rng(13)
+        assert np.all(losses.sample_logit_normal(rng, 50.0, 1.0, size=100) == 1.0 - 1e-12)
+        assert np.all(losses.sample_logit_normal(rng, -50.0, 1.0, size=100) == 1e-12)
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):

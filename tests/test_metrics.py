@@ -20,6 +20,12 @@ def random_grid(rng, free_fraction=0.5):
     return SemanticOccupancyGrid(SPEC, labels)
 
 
+def column_grid(labels):
+    """A grid of len(labels) x 1 x 1 voxels holding the given int64 labels."""
+    spec = GridSpec(dims=(len(labels), 1, 1), origin=(0, 0, 0), voxel_size=1.0)
+    return SemanticOccupancyGrid(spec, np.array(labels).reshape(-1, 1, 1))
+
+
 class TestConfusion:
     def test_identical_grids_are_diagonal(self):
         grid = random_grid(np.random.default_rng(0))
@@ -67,6 +73,14 @@ class TestConfusion:
         with pytest.raises(ValueError):
             metrics.confusion_accumulate(a, b, metrics.ConfusionMatrix(21))
 
+    @pytest.mark.parametrize("gt, pred", [(0, 3), (1, -1), (3, 0), (-1, 2), (7, 7)])
+    def test_out_of_range_labels_rejected(self, gt, pred):
+        # a bincount of gt * 3 + pred would file (0, 3) under counts[1, 0]
+        acc = metrics.ConfusionMatrix(3)
+        with pytest.raises(ValueError, match="out of range"):
+            metrics.confusion_accumulate(column_grid([1, pred]), column_grid([1, gt]), acc)
+        assert acc.total() == 0
+
 
 class TestIou:
     def test_perfect_prediction(self):
@@ -95,7 +109,8 @@ class TestIou:
         counts[1, 1] = 4
         counts[1, 0] = 1
         counts[2, 2] = 5
-        cm = metrics.ConfusionMatrix(3, counts)
+        cm = metrics.ConfusionMatrix(3)
+        cm.counts += counts
         schema = LabelSchema(num_classes=3, free_class=2,
                              thing_classes=frozenset({1}),
                              stuff_classes=frozenset(),
@@ -111,14 +126,16 @@ class TestIou:
         assert abs(metrics.binary_iou(cm, schema) - inter / union) < 1e-12
 
     def test_absent_classes_skipped(self):
-        counts = np.zeros((4, 4), dtype=np.int64)
-        counts[0, 0] = 10
-        cm = metrics.ConfusionMatrix(4, counts)
+        cm = metrics.ConfusionMatrix(4)
+        cm.counts[0, 0] = 10
         schema = LabelSchema(num_classes=4, free_class=3,
                              thing_classes=frozenset({1}),
                              stuff_classes=frozenset({2}),
                              layout_channel_map={})
         assert metrics.miou(cm, schema) == 1.0
+        iou, present = metrics.per_class_iou(cm)  # 0, not 0 / 0, where the union is empty
+        assert iou.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert present.tolist() == [True, False, False, False]
 
 
 class TestBevVsLayout:

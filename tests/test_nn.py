@@ -256,7 +256,7 @@ def vae_conv_shapes(monkeypatch) -> list:
         0, cfg.num_classes, size=(2, *cfg.grid_dims))
     monkeypatch.setattr(nn, "conv2d", recording_conv2d)
     vae.vae_encode_mean(params, cfg, labels)
-    vae.vae_reconstruct(params, cfg, np.zeros((2, *cfg.latent_hw, cfg.latent_channels)))
+    vae.vae_reconstruct(params, cfg, np.zeros((2, *cfg.latent_hw, vae.LATENT_CHANNELS)))
     monkeypatch.undo()
     return sorted(shapes)
 

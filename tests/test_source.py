@@ -17,8 +17,11 @@ no public function, or whose function has gained a caller, fails too.
 Every default is a value some caller changes. Each defaulted parameter of
 a public function needs a call in those caller modules, to a function of
 the same name, that passes it by keyword, by position or through ``*`` or
-``**``. The others are listed in ``DEFAULTS_ALLOWLIST`` as
-``module.function(parameter)`` with their reason; stale entries fail.
+``**``. So does each defaulted parameter of a public class's constructor:
+of its ``__init__``, or the defaulted fields of a dataclass, at their
+position in field order, in calls to the class's name. The others are
+listed in ``DEFAULTS_ALLOWLIST`` as ``module.function(parameter)`` or
+``module.Class(parameter)`` with their reason; stale entries fail.
 """
 
 import ast
@@ -67,6 +70,10 @@ _TRACED = "goes with its function, when the benchmark's tracer drops losses.sigm
 
 DEFAULTS_ALLOWLIST: dict[str, str] = {
     **{f"nn.grad_check({name})": _TUNED for name in ("eps", "rng", "max_coords")},
+    **{f"vae.VaeConfig({name})": "the benchmark's and the VAE's tests shrink the model with it"
+       for name in ("hidden", "attn_heads")},
+    "vae.VaeConfig(kl_weight)": ("the finite-difference test of the train step raises it: "
+                                 "at the default 1e-4 a wrong KL gradient stays below the bound"),
     **{f"losses.sample_logit_normal({name})": _TRACED
        for name in ("location", "scale", "size")},
     "core.panoptic_encode(schema)": "its stuff/free rule depends on the schema",
@@ -163,6 +170,29 @@ def passes(call: ast.Call, name: str, index: int | None) -> bool:
             or index is not None and (starred or len(call.args) > index))
 
 
+def constructor_defaults(node: ast.ClassDef):
+    """(name, positional index) per defaulted ``__init__`` parameter or dataclass field."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            yield from defaulted_parameters(item, method=True)
+    if any("dataclass" in referenced_names(d) for d in node.decorator_list):
+        fields = [item for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        for i, field in enumerate(fields):
+            if field.value is not None:
+                yield field.target.id, i
+
+
+def defaulted_callables(tree: ast.Module, module: str):
+    """(qualified name, called name, defaulted (name, index) pairs) of each
+    public function and each public class's constructor."""
+    for qualname, node in public_functions(tree, module):
+        yield qualname, node.name, defaulted_parameters(node, qualname.count(".") == 2)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, constructor_defaults(node)
+
+
 def unpassed_defaults() -> set[str]:
     calls: dict[str, list[ast.Call]] = defaultdict(list)
     for path in CALLER_MODULES:
@@ -172,9 +202,9 @@ def unpassed_defaults() -> set[str]:
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 calls[node.func.attr].append(node)
     return {f"{qualname}({name})" for path in MODULES
-            for qualname, node in public_functions(parse(path), path.stem)
-            for name, index in defaulted_parameters(node, qualname.count(".") == 2)
-            if not any(passes(call, name, index) for call in calls[node.name])}
+            for qualname, called, defaults in defaulted_callables(parse(path), path.stem)
+            for name, index in defaults
+            if not any(passes(call, name, index) for call in calls[called])}
 
 
 def test_every_default_is_passed_by_a_caller_or_has_a_reason():
