@@ -95,12 +95,6 @@ class LabelSchema:
             out |= np.equal(s, code)
         return out if isinstance(s, np.ndarray) else bool(out)
 
-    def panoptic_class_to_semantic(self, s: np.ndarray | int):
-        """Map panoptic class codes (1..17) to semantic ids; 17 -> free."""
-        s_arr = np.asarray(s)
-        out = np.where(s_arr == PANOPTIC_CLASS_MAX, self.free_class, s_arr)
-        return out if isinstance(s, np.ndarray) else int(out)
-
     @classmethod
     def toy(cls) -> "LabelSchema":
         """Six-class schema for procedural datasets: 2 agents, 2 stuff, free class 5."""
@@ -229,7 +223,7 @@ class PanopticVoxelGrid:
 
     def to_semantic(self, schema: LabelSchema) -> SemanticOccupancyGrid:
         s, _ = panoptic_decode(self.labels)
-        sem = schema.panoptic_class_to_semantic(s)
+        sem = np.where(s == PANOPTIC_CLASS_MAX, schema.free_class, s)  # 17 -> free
         dtype = np.uint8 if schema.num_classes <= 255 else np.uint16
         return SemanticOccupancyGrid(self.spec, sem.astype(dtype))
 
@@ -350,10 +344,6 @@ class BevLayout:
         if not (0 <= channel < self.channels):
             raise ValueError(f"channel {channel} out of range")
         return (self.bits & np.uint16(1 << channel)) != 0
-
-    def copy(self) -> "BevLayout":
-        return BevLayout(self.width, self.height, self.resolution,
-                         self.channels, self.bits.copy())
 
     def matches_grid(self, spec: GridSpec) -> bool:
         return (self.width == spec.dims[0] and self.height == spec.dims[1]

@@ -1,19 +1,23 @@
 """Binary containers and JSON sidecar formats.
 
-All binary formats are little-endian with a 4-byte ASCII magic:
+Every binary format has one layout: a 4-byte ASCII magic, a little-endian
+header, then a payload whose size the header declares. Every declared size
+is checked against the bytes left in the file before it is read, so a
+hostile header cannot make a loader allocate what the file does not hold.
+The headers and payloads:
 
-* ``OCCG`` occupancy grid: magic, u32 version=1, u32 X, u32 Y, u32 Z,
+* ``OCCG`` occupancy grid: u32 version=1, u32 X, u32 Y, u32 Z,
   f32 voxel_size, 3 x f32 origin, u8 label_width in {1, 2}, then
   X*Y*Z labels in x-major / y-middle / z-minor order.
-* ``BEVL`` layout: magic, u32 W, u32 H, f32 resolution, u8 channels,
-  then W*H u16 channel bitmasks.
-* ``LPCD`` labeled point cloud: magic, u32 N, then N records of
+* ``BEVL`` layout: u32 W, u32 H, f32 resolution, u8 channels, then
+  W*H u16 channel bitmasks.
+* ``LPCD`` labeled point cloud: u32 N, then N records of
   3 x f32 xyz + u32 panoptic label.
-* ``CBUF`` coordinate buffer: magic, u32 W, u32 H, then 3 row-major
+* ``CBUF`` coordinate buffer: u32 W, u32 H, then 3 row-major
   f32 planes (world x, y, z).
-* ``PLKB`` ray embedding: magic, u32 W, u32 H, then 6 row-major f32
+* ``PLKB`` ray embedding: u32 W, u32 H, then 6 row-major f32
   planes (direction xyz, moment xyz).
-* ``PKPT`` parameter checkpoint: magic, u32 count, then per tensor
+* ``PKPT`` parameter checkpoint: u32 count, then per tensor
   u32 name length, name bytes, u32 rank, u32 dims, f64 data.
 """
 
@@ -23,20 +27,19 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .core import BevLayout, GridSpec, LabelSchema, OverwriteRule, Se3Pose
 
+_LPCD_RECORD = np.dtype([("xyz", "<f4", (3,)), ("label", "<u4")])
+
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
-    """Read exactly ``n`` bytes; a size beyond the file's end is refused unread.
-
-    Checking against the bytes left keeps a header that declares a huge
-    payload from allocating it.
-    """
+    """Read exactly ``n`` bytes; a size beyond the file's end is refused unread."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise ValueError(f"truncated file: {n} bytes declared, {left} left")
@@ -46,14 +49,37 @@ def _read_exact(f: BinaryIO, n: int) -> bytes:
     return data
 
 
-def _expect_magic(f: BinaryIO, magic: bytes) -> None:
-    got = _read_exact(f, 4)
-    if got != magic:
-        raise ValueError(f"bad magic {got!r}, expected {magic!r}")
+@contextmanager
+def _reading(path: str | Path, magic: bytes) -> Iterator[BinaryIO]:
+    """The file opened for reading, past its checked magic."""
+    with open(path, "rb") as f:
+        got = _read_exact(f, len(magic))
+        if got != magic:
+            raise ValueError(f"bad magic {got!r}, expected {magic!r}")
+        yield f
+
+
+def _unpack(f: BinaryIO, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
+
+
+def _array(f: BinaryIO, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """A writable C-order array of ``shape``, its size checked before it is read."""
+    dtype = np.dtype(dtype)
+    raw = _read_exact(f, math.prod(shape) * dtype.itemsize)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _save(path: str | Path, magic: bytes, fmt: str, header: tuple,
+          payload: Iterable[bytes]) -> None:
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack(fmt, *header))
+        for chunk in payload:
+            f.write(chunk)
 
 
 # ---------------------------------------------------------------------------
-# OCCG
+# Containers, one save and one load per format
 # ---------------------------------------------------------------------------
 
 
@@ -62,60 +88,37 @@ def save_occg(path: str | Path, spec: GridSpec, labels: np.ndarray) -> None:
     if labels.shape != tuple(spec.dims):
         raise ValueError("labels shape does not match grid dims")
     width = 1 if labels.size == 0 or int(labels.max()) < 256 else 2
-    dtype = "<u1" if width == 1 else "<u2"
     if labels.size and (int(labels.min()) < 0 or int(labels.max()) > 0xFFFF):
         raise ValueError("labels out of range for 16-bit storage")
-    with open(path, "wb") as f:
-        f.write(b"OCCG")
-        f.write(struct.pack("<IIII", 1, *spec.dims))
-        f.write(struct.pack("<ffff", spec.voxel_size, *spec.origin))
-        f.write(struct.pack("<B", width))
-        f.write(np.ascontiguousarray(labels).astype(dtype).tobytes())
+    _save(path, b"OCCG", "<IIIIffffB", (1, *spec.dims, spec.voxel_size, *spec.origin, width),
+          [labels.astype("<u1" if width == 1 else "<u2").tobytes()])
 
 
 def load_occg(path: str | Path) -> tuple[GridSpec, np.ndarray]:
-    with open(path, "rb") as f:
-        _expect_magic(f, b"OCCG")
-        version, x, y, z = struct.unpack("<IIII", _read_exact(f, 16))
+    with _reading(path, b"OCCG") as f:
+        (version,) = _unpack(f, "<I")
         if version != 1:
             raise ValueError(f"unsupported OCCG version {version}")
-        voxel, ox, oy, oz = struct.unpack("<ffff", _read_exact(f, 16))
-        (width,) = struct.unpack("<B", _read_exact(f, 1))
+        x, y, z, voxel, ox, oy, oz, width = _unpack(f, "<IIIffffB")
         if width not in (1, 2):
             raise ValueError(f"bad label width {width}")
-        dtype = "<u1" if width == 1 else "<u2"
-        raw = _read_exact(f, x * y * z * width)
-    labels = np.frombuffer(raw, dtype=dtype).reshape(x, y, z)
+        labels = _array(f, "<u1" if width == 1 else "<u2", (x, y, z))
     spec = GridSpec(dims=(x, y, z), origin=(float(ox), float(oy), float(oz)),
                     voxel_size=float(voxel))
-    return spec, labels.copy()
-
-
-# ---------------------------------------------------------------------------
-# BEVL
-# ---------------------------------------------------------------------------
+    return spec, labels
 
 
 def save_bevl(path: str | Path, layout: BevLayout) -> None:
-    with open(path, "wb") as f:
-        f.write(b"BEVL")
-        f.write(struct.pack("<IIfB", layout.width, layout.height,
-                            layout.resolution, layout.channels))
-        f.write(np.ascontiguousarray(layout.bits).astype("<u2").tobytes())
+    _save(path, b"BEVL", "<IIfB",
+          (layout.width, layout.height, layout.resolution, layout.channels),
+          [layout.bits.astype("<u2").tobytes()])
 
 
 def load_bevl(path: str | Path) -> BevLayout:
-    with open(path, "rb") as f:
-        _expect_magic(f, b"BEVL")
-        w, h, res, channels = struct.unpack("<IIfB", _read_exact(f, 13))
-        raw = _read_exact(f, w * h * 2)
-    bits = np.frombuffer(raw, dtype="<u2").reshape(w, h)
-    return BevLayout(w, h, float(res), channels, bits.copy())
-
-
-# ---------------------------------------------------------------------------
-# LPCD
-# ---------------------------------------------------------------------------
+    with _reading(path, b"BEVL") as f:
+        w, h, res, channels = _unpack(f, "<IIfB")
+        bits = _array(f, "<u2", (w, h))
+    return BevLayout(w, h, float(res), channels, bits)
 
 
 def save_lpcd(path: str | Path, points: np.ndarray, labels: np.ndarray) -> None:
@@ -123,27 +126,17 @@ def save_lpcd(path: str | Path, points: np.ndarray, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) != len(labels):
         raise ValueError("points must be (N, 3) with matching labels")
-    rec = np.empty(len(points), dtype=[("xyz", "<f4", (3,)), ("label", "<u4")])
+    rec = np.empty(len(points), dtype=_LPCD_RECORD)
     rec["xyz"] = points.astype(np.float32)
     rec["label"] = labels.astype(np.uint32)
-    with open(path, "wb") as f:
-        f.write(b"LPCD")
-        f.write(struct.pack("<I", len(points)))
-        f.write(rec.tobytes())
+    _save(path, b"LPCD", "<I", (len(points),), [rec.tobytes()])
 
 
 def load_lpcd(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as f:
-        _expect_magic(f, b"LPCD")
-        (n,) = struct.unpack("<I", _read_exact(f, 4))
-        raw = _read_exact(f, n * 16)
-    rec = np.frombuffer(raw, dtype=[("xyz", "<f4", (3,)), ("label", "<u4")])
+    with _reading(path, b"LPCD") as f:
+        (n,) = _unpack(f, "<I")
+        rec = _array(f, _LPCD_RECORD, (n,))
     return rec["xyz"].astype(np.float64), rec["label"].astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# CBUF / PLKB planes
-# ---------------------------------------------------------------------------
 
 
 def _save_planes(path: str | Path, magic: bytes, planes: np.ndarray, count: int) -> None:
@@ -151,19 +144,13 @@ def _save_planes(path: str | Path, magic: bytes, planes: np.ndarray, count: int)
     if planes.ndim != 3 or planes.shape[2] != count:
         raise ValueError(f"expected (H, W, {count}) array")
     h, w = planes.shape[:2]
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<II", w, h))
-        for c in range(count):
-            f.write(np.ascontiguousarray(planes[:, :, c]).astype("<f4").tobytes())
+    _save(path, magic, "<II", (w, h), [np.moveaxis(planes, -1, 0).astype("<f4").tobytes()])
 
 
 def _load_planes(path: str | Path, magic: bytes, count: int) -> np.ndarray:
-    with open(path, "rb") as f:
-        _expect_magic(f, magic)
-        w, h = struct.unpack("<II", _read_exact(f, 8))
-        raw = _read_exact(f, w * h * 4 * count)
-    flat = np.frombuffer(raw, dtype="<f4").reshape(count, h, w)
+    with _reading(path, magic) as f:
+        w, h = _unpack(f, "<II")
+        flat = _array(f, "<f4", (count, h, w))
     return np.moveaxis(flat, 0, -1).astype(np.float64)
 
 
@@ -185,38 +172,29 @@ def load_plkb(path: str | Path) -> np.ndarray:
     return _load_planes(path, b"PLKB", 6)
 
 
-# ---------------------------------------------------------------------------
-# PKPT checkpoints
-# ---------------------------------------------------------------------------
-
-
 def save_pkpt(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(b"PKPT")
-        f.write(struct.pack("<I", len(tensors)))
+    def records():  # one tensor at a time, so no second copy of the model is held
         for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            arr = np.asarray(arr, dtype="<f8")
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr).astype("<f8").tobytes())
+            yield struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
+                              len(encoded), encoded, arr.ndim, *arr.shape)
+            yield arr.tobytes()
+
+    _save(path, b"PKPT", "<I", (len(tensors),), records())
 
 
 def load_pkpt(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
-        _expect_magic(f, b"PKPT")
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
+    with _reading(path, b"PKPT") as f:
+        (count,) = _unpack(f, "<I")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
+            (name_len,) = _unpack(f, "<I")
             name = _read_exact(f, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            n = math.prod(shape)
-            raw = _read_exact(f, n * 8)
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if name in out:
+                raise ValueError(f"tensor name {name!r} repeated")
+            (rank,) = _unpack(f, "<I")
+            out[name] = _array(f, "<f8", _unpack(f, f"<{rank}I"))
     return out
 
 
@@ -229,11 +207,6 @@ def dump_json(path: str | Path, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_json(path: str | Path):
-    with open(path) as f:
-        return json.load(f)
 
 
 def schema_to_json(schema: LabelSchema) -> dict:

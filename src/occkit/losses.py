@@ -68,8 +68,7 @@ def _lovasz_grad(gt_sorted: np.ndarray) -> np.ndarray:
     intersection = gts - np.cumsum(gt_sorted)
     union = gts + np.cumsum(1.0 - gt_sorted)
     jaccard = 1.0 - intersection / union
-    if len(gt_sorted) > 1:
-        jaccard[1:] = jaccard[1:] - jaccard[:-1]
+    jaccard[1:] = jaccard[1:] - jaccard[:-1]
     return jaccard
 
 

@@ -128,9 +128,8 @@ def knn_propagate(
     their index in ``labeled``; so the k-d tree's build never changes the
     output. Majority ties break toward the nearest tied member's label,
     then toward the smaller label; k is clamped to the labeled-set size.
-    The vote runs over all queries at once: each row of neighbour labels
-    is sorted, so one label's members form a run whose length is its
-    count and whose minimum distance is its nearest member.
+    The vote runs over all queries at once and compares each neighbour's
+    label with every label of its row: O(Q * k^2) work for Q queries.
     """
     if len(labeled) == 0:
         raise ValueError("empty labeled set")
@@ -140,22 +139,11 @@ def knn_propagate(
     k = min(k, len(labeled))
     idx, sq = _nearest(labeled.points, query, k)
     lab = labeled.labels[idx]
-    order = np.argsort(lab, axis=1, kind="stable")
-    lab = np.take_along_axis(lab, order, axis=1).reshape(-1)
-    dist = np.sqrt(np.take_along_axis(sq, order, axis=1)).reshape(-1)
-    # runs of one label within one row; every row starts a run
-    new_run = np.ones(lab.size, dtype=bool)
-    new_run[1:] = lab[1:] != lab[:-1]
-    new_run[::k] = True
-    starts = np.flatnonzero(new_run)
-    counts = np.diff(starts, append=lab.size)
-    nearest = np.minimum.reduceat(dist, starts)
-    row, row_first = starts // k, np.flatnonzero(starts % k == 0)
-    top = counts == np.maximum.reduceat(counts, row_first)[row]
-    top_nearest = np.where(top, nearest, np.inf)
-    cand = top & (nearest == np.minimum.reduceat(top_nearest, row_first)[row])
-    cand_lab = np.where(cand, lab[starts], np.iinfo(np.int64).max)
-    return np.minimum.reduceat(cand_lab, row_first)
+    counts = sum(lab == lab[:, j, None] for j in range(k))
+    top = counts == counts.max(axis=1, keepdims=True)
+    dist = np.where(top, np.sqrt(sq), np.inf)
+    nearest = top & (dist == dist.min(axis=1, keepdims=True))
+    return np.where(nearest, lab, np.iinfo(np.int64).max).min(axis=1)
 
 
 def fit_asset_to_box(asset: np.ndarray, box: OrientedBox) -> np.ndarray:

@@ -10,15 +10,11 @@ buffers.
 The traversal takes nearly all of a rig render, and its cost is the cost
 of one vectorized step times the number of steps (about 74 voxel steps
 per ray and 225 steps per call on a 24-camera, 160x90 rig over the
-standard 256x256x25 grid). The step keeps one contiguous row per axis and
-reads an occupancy array with a border, which made the rig pass about 6x
-faster than stepping (N, 3) arrays with argmin and fancy indexing, with
-bit-identical results. The entry set-up runs on the same (3, N) rows, with
-the same float operations per element: about 3.5-4 ms of a 35-40 ms
-160x90 call, against 7.8-8.4 ms for the short-axis reductions and gathers
-of (N, 3) arrays. The occupancy array with its border is rebuilt in every
-call, about 3 ms. There is no empty-space skipping, because it lost
-in numpy on that rig (2-core host):
+standard 256x256x25 grid). The entry set-up and the step keep one
+contiguous row per axis, and the step reads an occupancy array framed by
+a border, so it needs no bounds test. The occupancy array is rebuilt in
+every call, about 3 ms of a 35-40 ms 160x90 call. There is no empty-space
+skipping, because it lost in numpy on that rig (2-core host):
 
 * Leaping 8x8x1 empty bricks, with crossing times from integer boundary
   counts, gave bit-identical buffers and cut loop iterations per call from

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,3 +219,63 @@ def test_plane_containers_reject_wrong_shapes(tmp_path):
             with pytest.raises(ValueError, match="expected"):
                 save(tmp_path / "bad.bin", np.zeros(shape))
     assert not (tmp_path / "bad.bin").exists()
+
+
+def test_pkpt_rejects_a_repeated_tensor_name(tmp_path):
+    record = struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1)
+    path = tmp_path / "dup.pkpt"
+    path.write_bytes(b"PKPT" + struct.pack("<I", 2)
+                     + record + struct.pack("<d", 1.0) + record + struct.pack("<d", 2.0))
+    with pytest.raises(ValueError, match="repeated"):
+        fileio.load_pkpt(path)
+
+
+# format: (save a small valid file, its loader, bytes before its first payload,
+# a header that declares a payload of about 16 MB)
+CONTAINERS = {
+    "occg": (lambda p: fileio.save_occg(p, GridSpec((2, 2, 2), (0, 0, 0), 1.0), np.ones((2, 2, 2))),
+             fileio.load_occg, OCCG_HEADER,
+             b"OCCG" + struct.pack("<IIIIffffB", 1, 256, 256, 256, 1.0, 0, 0, 0, 1)),
+    "bevl": (lambda p: fileio.save_bevl(p, BevLayout(2, 3, 0.4, 3, np.ones((2, 3), np.uint16))),
+             fileio.load_bevl, 17, b"BEVL" + struct.pack("<IIfB", 2048, 4096, 0.4, 3)),
+    "lpcd": (lambda p: fileio.save_lpcd(p, np.ones((3, 3)), np.arange(3)),
+             fileio.load_lpcd, 8, b"LPCD" + struct.pack("<I", 2 ** 20)),
+    "cbuf": (lambda p: fileio.save_cbuf(p, np.ones((2, 3, 3))),
+             fileio.load_cbuf, 12, b"CBUF" + struct.pack("<II", 1024, 1024)),
+    "plkb": (lambda p: fileio.save_plkb(p, np.ones((2, 3, 6))),
+             fileio.load_plkb, 12, b"PLKB" + struct.pack("<II", 1024, 512)),
+    # count, name length, name, rank, dims
+    "pkpt": (lambda p: fileio.save_pkpt(p, {"w": np.ones((2, 3))}),
+             fileio.load_pkpt, 4 + 4 + 4 + 1 + 4 + 8,
+             b"PKPT" + struct.pack("<II", 1, 1) + b"w" + struct.pack("<II", 1, 2 ** 21)),
+}
+
+
+@pytest.mark.parametrize("fmt", CONTAINERS)
+def test_truncated_file_is_refused(tmp_path, fmt):
+    save, load, start, _ = CONTAINERS[fmt]
+    path = tmp_path / f"x.{fmt}"
+    save(path)
+    raw = path.read_bytes()
+    assert len(raw) > start
+    load(path)
+    # inside the magic, inside the header, inside the payload
+    for cut in (2, (4 + start) // 2, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="declared"):
+            load(path)
+
+
+@pytest.mark.parametrize("fmt", CONTAINERS)
+def test_oversized_payload_is_refused_before_it_is_allocated(tmp_path, fmt):
+    _, load, _, header = CONTAINERS[fmt]
+    path = tmp_path / f"x.{fmt}"
+    path.write_bytes(header + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="declared"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -22,6 +22,10 @@ of its ``__init__``, or the defaulted fields of a dataclass, at their
 position in field order, in calls to the class's name. The others are
 listed in ``DEFAULTS_ALLOWLIST`` as ``module.function(parameter)`` or
 ``module.Class(parameter)`` with their reason; stale entries fail.
+
+Every public name defined more than once has each definition listed in
+``SHARED_NAMES``, with the function that calls it or with its reason,
+because the caller rule above matches by name and cannot tell them apart.
 """
 
 import ast
@@ -43,7 +47,7 @@ _VALUE = "a constructor of a value type, kept with the type"
 ALLOWLIST: dict[str, str] = {
     **{f"fileio.{name}": _FORMAT for name in (
         "save_bevl", "load_bevl", "save_lpcd", "load_lpcd", "save_cbuf", "load_cbuf",
-        "save_plkb", "load_plkb", "dump_json", "load_json", "schema_to_json",
+        "save_plkb", "load_plkb", "dump_json", "schema_to_json",
         "schema_from_json", "rules_to_json", "rules_from_json")},
     "render.rig_to_json": _FORMAT,
     "render.rig_from_json": _FORMAT,
@@ -58,12 +62,24 @@ ALLOWLIST: dict[str, str] = {
     "core.Se3Pose.identity": _VALUE,
     "core.Se3Pose.from_translation": _VALUE,
     "core.SemanticOccupancyGrid.full_free": _VALUE,
-    "vae.VaeConfig.latent_hw": _VALUE,
+    "vae.VaeConfig.latent_hw": "a property of the config: the latent grid's size, which the tests read",
     "losses.sample_logit_normal": (
         "the only user of the sigmoid import in losses, which the benchmark's "
         "tracer wraps as losses.sigmoid; it goes when the tracer drops that entry"),
 }
 
+# A public name that more than one class or module defines is matched by
+# name alone above, so the callers of one definition hide another's lack of
+# them. Each such definition is listed with the function that calls it (in a
+# caller module; the test checks that it references the name) or its reason.
+_CALLED_BY = "called by "
+
+SHARED_NAMES: dict[str, str] = {
+    "core.PanopticVoxelGrid.validate": _CALLED_BY + "pipeline.voxelize_majority",
+    "render.GeometryBuffers.validate": _CALLED_BY + "bench_workloads.Rig24Render.warmup",
+    "core.SemanticOccupancyGrid.validate": ("a user's check of a loaded OCCG grid against "
+                                            "a schema; OCCG stores no schema"),
+}
 
 _TUNED = "a test tool; the tests tune it"
 _TRACED = "goes with its function, when the benchmark's tracer drops losses.sigmoid"
@@ -149,6 +165,39 @@ def test_every_public_function_has_a_caller_or_a_reason():
 def test_allowlist_is_not_stale():
     # an entry that names no public function is not among the uncalled ones either
     assert sorted(ALLOWLIST.keys() - uncalled_public_functions()) == []
+
+
+def shared_definitions() -> set[str]:
+    """Qualified names of the public functions whose name is defined more than once."""
+    defs = defaultdict(list)
+    for path in MODULES:
+        for qualname, node in public_functions(parse(path), path.stem):
+            defs[node.name].append(qualname)
+    return {q for qualnames in defs.values() if len(qualnames) > 1 for q in qualnames}
+
+
+def find_definition(qualname: str) -> ast.AST | None:
+    """The def node of ``module.function`` or ``module.Class.method`` in a caller module."""
+    module, *names = qualname.split(".")
+    body = next((parse(p).body for p in CALLER_MODULES if p.stem == module), [])
+    node = None
+    for name in names:
+        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == name), None)
+        body = node.body if node else []
+    return node
+
+
+def test_every_shared_public_name_is_listed_and_no_entry_is_stale():
+    assert sorted(shared_definitions() ^ SHARED_NAMES.keys()) == []
+
+
+@pytest.mark.parametrize("qualname", [q for q, why in SHARED_NAMES.items()
+                                      if why.startswith(_CALLED_BY)])
+def test_shared_name_callers_reference_it(qualname):
+    caller = find_definition(SHARED_NAMES[qualname].removeprefix(_CALLED_BY))
+    assert caller is not None
+    assert qualname.rsplit(".", 1)[1] in referenced_names(caller)
 
 
 def defaulted_parameters(node: ast.FunctionDef, method: bool):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_config_and_checkpoint_round_trip_is_bit_identical(tmp_path):
     params = init_vae_params(CFG, np.random.default_rng(3))
     fileio.dump_json(tmp_path / "cfg.json", CFG.to_json())
     fileio.save_pkpt(tmp_path / "w.pkpt", params)
-    cfg2 = VaeConfig.from_json(fileio.load_json(tmp_path / "cfg.json"))
+    cfg2 = VaeConfig.from_json(json.loads((tmp_path / "cfg.json").read_text()))
     params2 = fileio.load_pkpt(tmp_path / "w.pkpt")
     assert cfg2 == CFG
     labels = tiny_batch(4, batch=2)
