@@ -25,6 +25,8 @@ INSTANCE_BASE = 1000
 PANOPTIC_CLASS_MIN = 1
 PANOPTIC_CLASS_MAX = 17  # the free/empty code in the panoptic scheme
 INSTANCE_MAX = INSTANCE_BASE - 1
+PANOPTIC_LABEL_MIN = PANOPTIC_CLASS_MIN * INSTANCE_BASE   # 1000
+PANOPTIC_LABEL_MAX = PANOPTIC_CLASS_MAX * INSTANCE_BASE + INSTANCE_MAX   # 17999
 
 
 def _schema_codes(codes: range, num_classes: int, free_class: int) -> list[int]:
@@ -123,8 +125,7 @@ def panoptic_encode(s: int, i: int, schema: LabelSchema = LabelSchema()) -> int:
 
 def panoptic_decode(label: np.ndarray | int):
     """Inverse of :func:`panoptic_encode`, for one label or an array of them."""
-    lo = PANOPTIC_CLASS_MIN * INSTANCE_BASE
-    hi = PANOPTIC_CLASS_MAX * INSTANCE_BASE + INSTANCE_MAX
+    lo, hi = PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX
     arr = np.asarray(label)
     if arr.size and (arr.min() < lo or arr.max() > hi):
         raise ValueError(f"panoptic label outside [{lo}, {hi}]")
@@ -211,21 +212,31 @@ class PanopticVoxelGrid:
         labels = np.asarray(labels)
         if labels.shape != tuple(spec.dims):
             raise ValueError(f"labels shape {labels.shape} != dims {spec.dims}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("labels must be integer-typed")
         self.spec = spec
         self.labels = labels
 
+    def _lookup(self, table_of) -> np.ndarray:
+        """Each voxel's entry in ``table_of(class codes, instance ids)`` of all
+        panoptic labels: one ``take``, where decoding every voxel took a divmod."""
+        panoptic_decode(np.array([self.labels.min(), self.labels.max()]))  # range check
+        s, i = np.divmod(np.arange(PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX + 1), INSTANCE_BASE)
+        return table_of(s, i).take(self.labels - PANOPTIC_LABEL_MIN)
+
     def validate(self, schema: LabelSchema) -> None:
-        s, i = panoptic_decode(self.labels)
-        if np.any((s != PANOPTIC_CLASS_MAX) & (s >= schema.num_classes)):
+        worst = self._lookup(lambda s, i: (  # 2: class beyond the schema; 1: stuff/free instance
+            2 * ((s != PANOPTIC_CLASS_MAX) & (s >= schema.num_classes))
+            + (schema.is_stuff_or_free(s) & (i != 0))).astype(np.uint8)).max()
+        if worst >= 2:
             raise ValueError("class code without a semantic id below schema.num_classes")
-        if np.any(i[schema.is_stuff_or_free(s)] != 0):
+        if worst == 1:
             raise ValueError("stuff/free voxel with nonzero instance id")
 
     def to_semantic(self, schema: LabelSchema) -> SemanticOccupancyGrid:
-        s, _ = panoptic_decode(self.labels)
-        sem = np.where(s == PANOPTIC_CLASS_MAX, schema.free_class, s)  # 17 -> free
         dtype = np.uint8 if schema.num_classes <= 255 else np.uint16
-        return SemanticOccupancyGrid(self.spec, sem.astype(dtype))
+        return SemanticOccupancyGrid(self.spec, self._lookup(  # 17 -> free
+            lambda s, _: np.where(s == PANOPTIC_CLASS_MAX, schema.free_class, s).astype(dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +279,12 @@ class Se3Pose:
         return cls(r, np.asarray(t, dtype=np.float64))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
+        """``points @ rotation.T + translation`` for points of shape (..., 3); the
+        translation is added a column at a time, as a (3,) row broadcasts slowly."""
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        for a in range(3):
+            out[..., a] += self.translation[a]
+        return out
 
     def inverse(self) -> "Se3Pose":
         rt = self.rotation.T
@@ -386,26 +401,36 @@ def layout_rasterize(
     (inclusive boundaries for boxes, even-odd rule for polygons). Boxes
     route to channels through ``schema.layout_channel_map``; unmapped
     classes are skipped. Polygons carry their channel explicitly.
+
+    A box's per-cell expression runs only on cells in a square around its center
+    of half-side ``r + 1e-9 * (1 + r + |cx| + |cy|)``, ``r`` its corner radius: a
+    margin far above the expression's rounding, so no cell outside could pass.
     """
     layout = BevLayout(width, height, resolution, channels)
     cx, cy = layout.cell_centers()
     centers = np.stack([cx, cy], axis=-1)
+    xs, ys = cx[:, 0], cy[0]
 
-    def set_channel(mask: np.ndarray, channel: int) -> None:
+    def set_channel(mask: np.ndarray, channel: int, cells=np.s_[:, :]) -> None:
         if not (0 <= channel < channels):
             raise ValueError(f"channel {channel} out of range")
-        layout.bits[mask] |= np.uint16(1 << channel)
+        layout.bits[cells][mask] |= np.uint16(1 << channel)
 
     for box in boxes:
         channel = schema.layout_channel_map.get(box.class_id)
         if channel is None:
             continue
-        local = centers - np.asarray(box.center[:2])
+        bcx, bcy = box.center[:2]
+        r = np.hypot(*box.size[:2]) / 2.0
+        r += 1e-9 * (1.0 + r + abs(bcx) + abs(bcy))
+        cells = tuple(slice(np.searchsorted(v, c - r), np.searchsorted(v, c + r, "right"))
+                      for v, c in ((xs, bcx), (ys, bcy)))
+        local = centers[cells] - np.asarray(box.center[:2])
         c, s = np.cos(box.yaw), np.sin(box.yaw)
         bx = local[..., 0] * c + local[..., 1] * s
         by = -local[..., 0] * s + local[..., 1] * c
         mask = (np.abs(bx) <= box.size[0] / 2.0) & (np.abs(by) <= box.size[1] / 2.0)
-        set_channel(mask, channel)
+        set_channel(mask, channel, cells)
 
     for channel, poly in polygons:
         set_channel(points_in_polygon(centers, poly), channel)

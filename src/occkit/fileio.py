@@ -72,10 +72,16 @@ def _array(f: BinaryIO, dtype, shape: tuple[int, ...]) -> np.ndarray:
 
 def _save(path: str | Path, magic: bytes, fmt: str, header: tuple,
           payload: Iterable[bytes]) -> None:
-    with open(path, "wb") as f:
-        f.write(magic + struct.pack(fmt, *header))
-        for chunk in payload:
-            f.write(chunk)
+    """Write a temporary sibling, renamed over ``path`` on success and removed on failure."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(magic + struct.pack(fmt, *header))
+            f.writelines(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

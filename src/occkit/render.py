@@ -111,15 +111,11 @@ class CameraRig:
             raise ValueError("duplicate camera name in rig")
 
 
-def plucker_embedding(cam: Camera) -> np.ndarray:
-    """(H, W, 6) of (unit direction, origin x direction) per pixel."""
-    return _plucker(cam.pixel_directions(), cam.center())
-
-
-def _plucker(d: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Pluecker rays from directions ``d`` (H, W, 3) sharing the origin ``o``."""
-    m = np.cross(np.broadcast_to(o, d.shape), d)
-    return np.concatenate([d, m], axis=-1)
+def plucker_embedding(directions: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """(H, W, 6) Pluecker rays (direction, origin x direction) from unit
+    ``directions`` (H, W, 3) sharing one ``origin``."""
+    m = np.cross(np.broadcast_to(origin, directions.shape), directions)
+    return np.concatenate([directions, m], axis=-1)
 
 
 def raycast_grid(
@@ -246,7 +242,7 @@ def raycast_buffers(
     coordinate = np.zeros((h, w, 3))
     coordinate[hit] = grid.spec.index_to_center(iv)
     return GeometryBuffers(semantic=semantic, coordinate=coordinate,
-                           plucker=_plucker(dirs, cam.center()), hit_mask=hit)
+                           plucker=plucker_embedding(dirs, cam.center()), hit_mask=hit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from occkit.core import (
+    PANOPTIC_CLASS_MAX,
     BevLayout,
     GridSpec,
     LabelSchema,
@@ -436,3 +437,168 @@ class TestBoundaries:
         square = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float)
         pts = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
         assert points_in_polygon(pts, square).tolist() == [True, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# Equality oracles: the forms the faster code replaced, kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def reference_layout_rasterize(boxes, polygons, width, height, resolution, channels, schema):
+    """Every box tested on every cell of the raster."""
+    layout = BevLayout(width, height, resolution, channels)
+    cx, cy = layout.cell_centers()
+    centers = np.stack([cx, cy], axis=-1)
+    for box in boxes:
+        channel = schema.layout_channel_map.get(box.class_id)
+        if channel is None:
+            continue
+        local = centers - np.asarray(box.center[:2])
+        c, s = np.cos(box.yaw), np.sin(box.yaw)
+        bx = local[..., 0] * c + local[..., 1] * s
+        by = -local[..., 0] * s + local[..., 1] * c
+        mask = (np.abs(bx) <= box.size[0] / 2.0) & (np.abs(by) <= box.size[1] / 2.0)
+        layout.bits[mask] |= np.uint16(1 << channel)
+    for channel, poly in polygons:
+        layout.bits[points_in_polygon(centers, poly)] |= np.uint16(1 << channel)
+    return layout
+
+
+def reference_apply(pose, points):
+    """The (3,) row broadcast."""
+    return np.asarray(points, dtype=np.float64) @ pose.rotation.T + pose.translation
+
+
+def reference_validate(grid, schema):
+    """One np.equal pass per stuff code over the decoded grid."""
+    s, i = panoptic_decode(grid.labels)
+    if np.any((s != PANOPTIC_CLASS_MAX) & (s >= schema.num_classes)):
+        raise ValueError("class code without a semantic id below schema.num_classes")
+    out = np.equal(s, PANOPTIC_CLASS_MAX)
+    for code in (*schema.stuff_classes, schema.free_class):
+        out |= np.equal(s, code)
+    if np.any(i[out] != 0):
+        raise ValueError("stuff/free voxel with nonzero instance id")
+
+
+def reference_to_semantic(grid, schema):
+    s, _ = panoptic_decode(grid.labels)
+    sem = np.where(s == PANOPTIC_CLASS_MAX, schema.free_class, s)
+    return sem.astype(np.uint8 if schema.num_classes <= 255 else np.uint16)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLayoutRasterizeOracle:
+    def check(self, boxes, polygons, width=24, height=20, resolution=0.4):
+        args = (boxes, polygons, width, height, resolution, 15, SCHEMA)
+        assert_bitwise(layout_rasterize(*args).bits, reference_layout_rasterize(*args).bits)
+
+    def test_random_boxes_in_and_around_the_raster(self):
+        rng = np.random.default_rng(50)
+        for trial in range(60):
+            boxes = [OrientedBox((*rng.uniform(-7, 7, size=2), 0.0),
+                                 (*rng.uniform(0.05, 5.0, size=2), 1.0),
+                                 float(rng.choice([0.0, np.pi / 2, np.pi / 4,
+                                                   rng.uniform(-np.pi, np.pi)])),
+                                 int(rng.integers(0, 21)))
+                     for _ in range(int(rng.integers(1, 8)))]
+            polys = [(int(rng.integers(10, 15)), rng.uniform(-5, 5, size=(5, 2)))]
+            self.check(boxes, polys if trial % 2 else [])
+
+    def test_edges_and_corners_on_cell_centres(self):
+        # dyadic centres and sizes: footprint edges land exactly on cell centres,
+        # and a corner-circle radius reaches the rectangle's last row or column
+        boxes = [OrientedBox((x, y, 0.0), (w, l, 1.0), yaw, 4)
+                 for x in (-0.2, 0.0, 0.6) for y in (0.2, 1.0)
+                 for w, l in ((0.8, 0.4), (1.6, 2.4), (0.4, 0.4))
+                 for yaw in (0.0, np.pi / 2, np.pi, np.arctan2(0.6, 0.8))]
+        for box in boxes:
+            self.check([box], [])
+
+    def test_boxes_wider_than_or_outside_the_raster(self):
+        boxes = [OrientedBox((0.0, 0.0, 0.0), (40.0, 30.0, 1.0), 0.3, 1),
+                 OrientedBox((30.0, 0.0, 0.0), (2.0, 2.0, 1.0), 0.0, 2),
+                 OrientedBox((-4.9, 4.1, 0.0), (1.0, 1.0, 1.0), 0.7, 3),
+                 OrientedBox((1e9, -1e9, 0.0), (1.0, 1.0, 1.0), 0.0, 4),
+                 OrientedBox((np.nan, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 5),
+                 OrientedBox((np.inf, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 6)]
+        self.check(boxes, [])
+        self.check(boxes, [], width=1, height=3, resolution=2.0)
+
+    def test_an_unmapped_or_out_of_range_box_behaves_as_before(self):
+        self.check([OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 0)], [])
+        far = OrientedBox((1e6, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 14)   # channel 13
+        with pytest.raises(ValueError, match="out of range"):
+            layout_rasterize([far], [], 8, 8, 0.4, 4, SCHEMA)
+
+
+class TestApplyOracle:
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (1, 3), (127, 3), (128, 3),
+                                       (129, 3), (1000, 3), (7, 9, 3), (2, 64, 3)])
+    def test_bit_equal_to_the_broadcast_row(self, shape):
+        rng = np.random.default_rng(51)
+        pose = Se3Pose.from_yaw(0.7, rng.normal(0, 50, size=3))
+        pts = rng.normal(0, 30, size=shape)
+        got = pose.apply(pts)
+        assert_bitwise(got, reference_apply(pose, pts))
+        assert_bitwise(pose.inverse().apply(pts), reference_apply(pose.inverse(), pts))
+
+    def test_strided_and_integer_inputs(self):
+        rng = np.random.default_rng(52)
+        pose = Se3Pose.from_yaw(-2.1, (1.5, -0.25, 3.0))
+        wide = rng.normal(size=(300, 6))
+        for pts in (wide[:, ::2], wide[::3, 3:], np.asfortranarray(wide[:, :3]),
+                    rng.integers(-9, 9, size=(200, 3)), [0.5, 1.0, -2.0]):
+            assert_bitwise(pose.apply(pts), reference_apply(pose, pts))
+        assert np.array_equal(wide, wide)          # inputs are not written to
+
+
+class TestValidateOracle:
+    SCHEMAS = [SCHEMA, LabelSchema.toy(), LabelSchema(num_classes=14, free_class=13)]
+
+    def outcome(self, fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as e:
+            return str(e)
+
+    @pytest.mark.parametrize("schema", SCHEMAS, ids=["default", "toy", "narrow"])
+    def test_same_verdict_and_semantics_as_the_per_code_passes(self, schema):
+        rng = np.random.default_rng(53)
+        spec = GridSpec((4, 3, 2), (0.0, 0.0, 0.0), 1.0)
+        codes = np.arange(1, 18)
+        for trial in range(300):
+            grid_codes = rng.choice(codes, size=spec.dims)
+            inst = np.where(rng.random(spec.dims) < 0.9, 0, rng.integers(1, 1000, spec.dims))
+            grid = PanopticVoxelGrid(spec, grid_codes * 1000 + inst)
+            got = self.outcome(grid.validate, schema)
+            assert got == self.outcome(reference_validate, grid, schema)
+            if got is None:
+                assert_bitwise(grid.to_semantic(schema).labels,
+                               reference_to_semantic(grid, schema))
+
+    def test_labels_outside_the_range_are_rejected_by_both(self):
+        spec = GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0)
+        for bad in (999, 18000, 0, -17000):
+            grid = PanopticVoxelGrid(spec, np.array([[[17000, bad]]]))
+            for fn in (grid.validate, grid.to_semantic):
+                with pytest.raises(ValueError, match="outside"):
+                    fn(SCHEMA)
+
+    def test_non_integer_labels_are_rejected(self):
+        # 4001.5 used to decode as class 4 with instance 1.5 and pass validate
+        spec = GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0)
+        for labels in ([4001.5, 17000.0], [4001.0, 17000.0], [True, False]):
+            with pytest.raises(ValueError, match="integer"):
+                PanopticVoxelGrid(spec, np.array(labels).reshape(spec.dims))
+
+    def test_uint16_and_int32_grids(self):
+        spec = GridSpec((2, 2, 1), (0.0, 0.0, 0.0), 1.0)
+        for dtype in (np.uint16, np.int32):
+            grid = PanopticVoxelGrid(spec, np.array([[[17000], [4002]], [[11000], [1000]]],
+                                                    dtype=dtype))
+            grid.validate(SCHEMA)
+            assert_bitwise(grid.to_semantic(SCHEMA).labels, reference_to_semantic(grid, SCHEMA))

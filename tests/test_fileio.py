@@ -1,3 +1,4 @@
+import errno
 import struct
 import tracemalloc
 
@@ -279,3 +280,53 @@ def test_oversized_payload_is_refused_before_it_is_allocated(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+class DiskFull:
+    """An open file that takes its first write, then fails as a full disk does."""
+
+    def __init__(self, path, mode):
+        self.file, self.writes = open(path, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.file.write(data)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize("fmt", CONTAINERS)
+def test_a_failing_save_leaves_the_old_file(tmp_path, monkeypatch, fmt):
+    save, load, _, _ = CONTAINERS[fmt]
+    path = tmp_path / f"x.{fmt}"
+    save(path)
+    old = path.read_bytes()
+    monkeypatch.setattr(fileio, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    save(path)          # a save that succeeds replaces the file and leaves nothing else
+    assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+
+
+def test_a_pkpt_save_failing_on_a_later_tensor_leaves_the_old_file(tmp_path):
+    path = tmp_path / "m.pkpt"
+    fileio.save_pkpt(path, {"w": np.arange(4.0)})
+    old = path.read_bytes()
+    with pytest.raises(ValueError):
+        fileio.save_pkpt(path, {"a": np.ones(2), "b": "x"})
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    assert np.array_equal(fileio.load_pkpt(path)["w"], np.arange(4.0))

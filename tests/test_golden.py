@@ -1,0 +1,94 @@
+"""Golden outputs: one small seeded benchmark scene through every stage.
+
+Each stage's outputs are fingerprinted with the benchmark's ``digest`` and
+compared with a constant here, so a change that moves any output fails
+this test and names the first stage that moved (later stages read its
+output, so they usually move with it). The scene comes from the
+benchmark's ``bench_scene.build_scene``, imported as it is.
+
+A change that moves an output on purpose updates that stage's constant
+and says which and why. The VAE steps run on one BLAS thread or two with
+the same digest on the host these constants were recorded on.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from occkit import core, fileio, nn, pipeline, render, vae
+from occkit.core import GridSpec, LabelSchema, SemanticOccupancyGrid
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "occbench"))
+from bench_checks import digest  # noqa: E402
+from bench_scene import build_scene  # noqa: E402
+
+SPEC = GridSpec((32, 32, 8), (-6.4, -6.4, -1.6), 0.4)
+# as the benchmark's rigs: 1.5 m above the ground band, off voxel boundary planes
+CAMERA = dict(fx=8.0, width=16, height=9, z=-1.6 + core.GROUND_BAND_Z * 0.4 + 1.5)
+VAE = vae.VaeConfig(grid_dims=(8, 8, 8), num_classes=LabelSchema().num_classes,
+                    hidden=(8, 8, 8), spatial_downsample=2, attn_heads=2)
+
+GOLDEN = {
+    "remove": "0a0121ab10fe9c02",
+    "voxelize": "afc23158ab6e3e24",
+    "knn": "f1e04e1d3c933abd",
+    "resample": "b62a5938ce4967f7",
+    "layout_overwrite": "e74e308dc5382e9c",
+    "occg_round_trip": "8c968f6d7a4eb47a",
+    "cameras6": "5f3df01d5cb471f6",
+    "cameras24": "77f11284ad17d4eb",
+    "vae_steps": "d6faa827fcce8253",
+}
+
+
+def buffers_digest(grid, rig, schema) -> str:
+    buffers = [render.raycast_buffers(grid, cam, 20.0, schema) for cam in rig.cameras]
+    return digest(*(a for b in buffers
+                    for a in (b.hit_mask, b.semantic, b.coordinate, b.plucker)))
+
+
+def stage_digests(tmp_path) -> dict[str, str]:
+    schema = LabelSchema()
+    scene = build_scene(7, schema, SPEC, n_points=20_000, n_queries=400)
+    out = {}
+    cloud = pipeline.remove_points_in_boxes(scene.cloud, scene.dynamic_boxes)
+    out["remove"] = digest(cloud.points, cloud.labels)
+    panoptic = pipeline.voxelize_majority(cloud, SPEC, schema)
+    semantic = panoptic.to_semantic(schema)
+    out["voxelize"] = digest(panoptic.labels, semantic.labels)
+    # k = 1 at the cloud's own points: the scene copies some points under other
+    # labels, so the (distance, index) rule decides those rows
+    out["knn"] = digest(pipeline.knn_propagate(cloud, scene.queries, 5),
+                        pipeline.knn_propagate(cloud, cloud.points, 1))
+    shifted = pipeline.resample_occupancy(semantic, scene.shift, schema)
+    out["resample"] = digest(shifted.labels)
+    layout = core.layout_rasterize(scene.boxes, scene.polygons, SPEC.dims[0], SPEC.dims[1],
+                                   SPEC.voxel_size, schema.num_layout_channels, schema)
+    grid = core.layout_overwrite(shifted, layout, scene.rules)
+    out["layout_overwrite"] = digest(layout.bits, grid.labels)
+    path = tmp_path / "golden.occg"
+    fileio.save_occg(path, SPEC, grid.labels)
+    loaded = SemanticOccupancyGrid(*fileio.load_occg(path))
+    out["occg_round_trip"] = digest(np.frombuffer(path.read_bytes(), np.uint8), loaded.labels)
+    rig = render.standard_rig(**CAMERA)
+    out["cameras6"] = buffers_digest(loaded, rig, schema)
+    rig24 = render.densify_rig(render.densify_rig(rig, 1), 1)
+    out["cameras24"] = buffers_digest(loaded, rig24, schema)
+    params = vae.init_vae_params(VAE, nn.stream(7, "golden/vae"))
+    adam, noise = nn.adam_init(params), nn.stream(7, "golden/noise")
+    batch = np.stack([loaded.labels[:8, :8], loaded.labels[12:20, 16:24]]).astype(np.int64)
+    losses = []
+    for _ in range(3):
+        grads = nn.zero_grads(params)
+        losses.append(vae.vae_train_step(params, grads, VAE, batch, noise)["loss"])
+        nn.clip_grads(grads, 1.0)
+        nn.adam_step(params, grads, adam, lr=1e-3)
+    out["vae_steps"] = digest(np.array(losses), *(params[k] for k in sorted(params)))
+    return out
+
+
+def test_every_stage_output_matches_its_golden_digest(tmp_path):
+    got = stage_digests(tmp_path)
+    moved = [stage for stage in GOLDEN if got[stage] != GOLDEN[stage]]
+    assert moved == [], f"first stage that moved: {moved[0]}; digests now {got}"

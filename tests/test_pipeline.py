@@ -310,6 +310,30 @@ def reference_voxelize_majority(cloud, spec, schema):
     return grid
 
 
+def reference_voxelize_compacted(cloud, spec, schema):
+    """The sorted-key vote over np.unique-compacted labels, which the packed
+    panoptic key replaced."""
+    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
+    if len(cloud):
+        idx = spec.world_to_index(cloud.points)
+        keep = spec.index_in_bounds(idx)
+        dims = np.asarray(spec.dims)
+        flat = ((idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2])[keep]
+        if len(flat):
+            lab_ids, lab_inv = np.unique(cloud.labels[keep], return_inverse=True)
+            num_labels = len(lab_ids)
+            keys, counts = np.unique(flat * num_labels + lab_inv, return_counts=True)
+            vox = keys // num_labels
+            starts = np.flatnonzero(np.r_[True, vox[1:] != vox[:-1]])
+            run_top = np.maximum.reduceat(counts, starts)
+            top = counts == np.repeat(run_top, np.diff(starts, append=len(keys)))
+            win = np.minimum.reduceat(np.where(top, np.arange(len(keys)), len(keys)), starts)
+            labels.reshape(-1)[vox[starts]] = lab_ids[keys[win] % num_labels]
+    grid = PanopticVoxelGrid(spec, labels)
+    grid.validate(schema)
+    return grid
+
+
 def reference_remove_points_in_boxes(cloud, boxes):
     if len(cloud) == 0 or not boxes:
         return cloud
@@ -421,6 +445,22 @@ class TestKnnOracle:
         self.check(labeled, np.array([[0.0, 0, 0], [2.9, 0, 0]]), 3)
         assert counts == [6, 12, 24, 28]
 
+    def test_permuting_the_queries_permutes_the_output(self):
+        # the queries run in x order; each row's answer must not depend on it
+        rng = np.random.default_rng(40)
+        base = rng.integers(-3, 4, size=(120, 3)).astype(np.float64)
+        pts = np.concatenate([base, base[rng.permutation(120)]])
+        labeled = LabeledPointCloud(pts, rng.choice([1001, 2001, 4001], size=len(pts)))
+        query = np.concatenate([rng.integers(-4, 5, size=(300, 3)).astype(np.float64),
+                                rng.normal(0.0, 2.0, size=(300, 3))])
+        query[:40, 0] = 0.0                      # equal x coordinates
+        for k in (1, 3, 6):
+            want = knn_propagate(labeled, query, k)
+            for trial in range(3):
+                perm = rng.permutation(len(query))
+                assert_bitwise(knn_propagate(labeled, query[perm], k), want[perm])
+            assert_bitwise(want, knn_oracle(labeled, query, k))
+
     def test_k1_on_duplicates_takes_the_smallest_index(self):
         pts = np.repeat([[0.5, -1.0, 2.0], [1.5, -1.0, 2.0]], 40, axis=0)
         labels = np.concatenate([[11000], np.arange(39) + 1001, [15000] * 40])
@@ -431,6 +471,13 @@ class TestKnnOracle:
 
 
 class TestVoxelizeOracle:
+    def check(self, cloud, spec):
+        """Bit-equal to the loop vote and to the compacted-label vote."""
+        got = voxelize_majority(cloud, spec, SCHEMA).labels
+        assert_bitwise(got, reference_voxelize_majority(cloud, spec, SCHEMA).labels)
+        assert_bitwise(got, reference_voxelize_compacted(cloud, spec, SCHEMA).labels)
+        return got
+
     def test_many_tied_votes(self):
         # a few voxels, each holding several labels with equal counts
         rng = np.random.default_rng(34)
@@ -446,8 +493,7 @@ class TestVoxelizeOracle:
                     pts.append(center + jitter)
                     labs.append(np.full(count, lab))
             cloud = LabeledPointCloud(np.concatenate(pts), np.concatenate(labs))
-            assert_bitwise(voxelize_majority(cloud, SPEC, SCHEMA).labels,
-                           reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+            self.check(cloud, SPEC)
 
     def test_random_clouds_with_outside_points(self):
         rng = np.random.default_rng(35)
@@ -455,8 +501,7 @@ class TestVoxelizeOracle:
             n = int(rng.integers(0, 3000))
             cloud = LabeledPointCloud(rng.uniform(-2.5, 2.5, size=(n, 3)),
                                       rng.choice([1001, 2001, 2002, 11000], size=n))
-            assert_bitwise(voxelize_majority(cloud, SPEC, SCHEMA).labels,
-                           reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+            self.check(cloud, SPEC)
 
     def test_many_labels_with_wide_ties(self):
         # hundreds of distinct thing labels, so the packed key's label stride is
@@ -492,8 +537,7 @@ class TestVoxelizeOracle:
             pts, labs = np.concatenate(pts), np.concatenate(labs)
             perm = rng.permutation(len(pts))
             cloud = LabeledPointCloud(pts[perm], labs[perm])
-            grid = voxelize_majority(cloud, SPEC, SCHEMA).labels
-            assert_bitwise(grid, reference_voxelize_majority(cloud, SPEC, SCHEMA).labels)
+            grid = self.check(cloud, SPEC)
             for cell, lab in expect.items():
                 assert grid.reshape(-1)[cell] == lab
 
@@ -514,7 +558,34 @@ class TestVoxelizeOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert_bitwise(grid.labels, reference_voxelize_majority(cloud, spec, SCHEMA).labels)
+        assert_bitwise(grid.labels, self.check(cloud, spec))
+
+    def test_labels_at_both_ends_of_the_panoptic_range(self):
+        # 1000 and 17999 pack to the first and last label slot of a voxel's
+        # keys; 17999 (free code, instance 999) may vote but never win
+        rng = np.random.default_rng(39)
+        spec = GridSpec((2, 2, 1), (-0.8, -0.8, -0.4), 0.8)
+        for trial in range(20):
+            n = int(rng.integers(1, 400))
+            cloud = LabeledPointCloud(rng.uniform(-1.7, 1.7, size=(n, 3)),
+                                      rng.choice([1000, 1999, 10999, 17000], size=n))
+            self.check(cloud, spec)
+        cloud = LabeledPointCloud(np.zeros((3, 3)), np.array([17999, 1000, 1000]))
+        assert self.check(cloud, spec)[1, 1, 0] == 1000
+
+    @pytest.mark.parametrize("bad", [0, 999, 18000, -1001])
+    def test_a_label_outside_the_panoptic_range_is_rejected_even_when_it_loses(self, bad):
+        # every point label is checked, whether it votes and wins, loses or lies outside
+        # the voxel's vote goes 3 to 1 for 4001, so the old output-only check passed it
+        pts = np.array([[0.1, 0.1, 0.1]] * 4)
+        cloud = LabeledPointCloud(pts, np.array([4001, 4001, bad, 4001]))
+        assert reference_voxelize_compacted(cloud, SPEC, SCHEMA).labels[4, 4, 2] == 4001
+        with pytest.raises(ValueError, match="outside"):
+            voxelize_majority(cloud, SPEC, SCHEMA)
+        outside = LabeledPointCloud(np.array([[0.1, 0.1, 0.1], [9.0, 0.0, 0.0]]),
+                                    np.array([4001, bad]))     # a point outside the grid
+        with pytest.raises(ValueError, match="outside"):
+            voxelize_majority(outside, SPEC, SCHEMA)
 
 
 class TestRemoveOracle:

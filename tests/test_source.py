@@ -56,7 +56,6 @@ ALLOWLIST: dict[str, str] = {
     "metrics.binary_iou": _METRIC,
     "core.LabelSchema.agent_channels": _METRIC,
     "metrics.channel_subset_mean": _METRIC,
-    "render.plucker_embedding": _METRIC + "; the benchmark traces it by a string name",
     "nn.grad_check": _ORACLE + ": the finite-difference check of every backward pass",
     "render.Camera.project": _ORACLE + ": it checks that raycast hits land on their pixels",
     "core.Se3Pose.identity": _VALUE,
