@@ -155,18 +155,6 @@ class GridSpec:
         x, y, z = self.dims
         return x * y * z
 
-    def world_to_index(self, points: np.ndarray) -> np.ndarray:
-        """Voxel indices containing each point (may fall outside the grid)."""
-        q = np.asarray(points, dtype=np.float64) - np.asarray(self.origin)
-        return np.floor(np.divide(q, self.voxel_size, out=q), out=q).astype(np.int64)
-
-    def index_in_bounds(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        ok = np.ones(idx.shape[:-1], dtype=bool)
-        for a, n in enumerate(self.dims):
-            ok &= (idx[..., a] >= 0) & (idx[..., a] < n)
-        return ok
-
     def index_to_center(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.float64)
         return np.asarray(self.origin) + (idx + 0.5) * self.voxel_size
@@ -302,8 +290,9 @@ class OrientedBox:
     instance_id: int = 0
 
     def __post_init__(self):
-        if not all(0 < s < np.inf for s in self.size):
-            raise ValueError("box size components must be positive and finite")
+        if not (all(0 < s < np.inf for s in self.size)
+                and np.all(np.isfinite([*self.center, self.yaw]))):
+            raise ValueError("box size must be positive and finite, center and yaw finite")
 
     def pose(self) -> Se3Pose:
         return Se3Pose.from_yaw(self.yaw, self.center)

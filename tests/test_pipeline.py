@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -315,8 +316,8 @@ def reference_voxelize_compacted(cloud, spec, schema):
     panoptic key replaced."""
     labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
     if len(cloud):
-        idx = spec.world_to_index(cloud.points)
-        keep = spec.index_in_bounds(idx)
+        idx = reference_world_to_index(spec, cloud.points)
+        keep = reference_index_in_bounds(spec, idx)
         dims = np.asarray(spec.dims)
         flat = ((idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2])[keep]
         if len(flat):
@@ -362,6 +363,54 @@ def assert_bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def reference_nearest(points, query, k):
+    """_nearest before its tree was built over an xy-cell-ordered copy of the
+    points: the same candidate rule on a tree over the points as given."""
+    n = len(points)
+    tree = cKDTree(points, leafsize=64, balanced_tree=False, compact_nodes=False)
+    idx = np.empty((len(query), k), dtype=np.intp)
+    sq = np.empty((len(query), k))
+    rows, m = np.argsort(query[:, 0], kind="stable"), min(k + 3, n)
+    while len(rows):
+        q = query[rows]
+        cand = tree.query(q, k=m)[1].reshape(len(rows), m)
+        dx, dy, dz = (points[cand, a] - q[:, a, None] for a in range(3))
+        cand_sq = (dx * dx + dy * dy) + dz * dz
+        order = np.lexsort((cand, cand_sq))
+        cand = np.take_along_axis(cand, order, axis=1)
+        cand_sq = np.take_along_axis(cand_sq, order, axis=1)
+        idx[rows], sq[rows] = cand[:, :k], cand_sq[:, :k]
+        if m == n:
+            break
+        again = cand_sq[:, k - 1] >= cand_sq[:, -1] * (1.0 - 1e-12)
+        rows, m = rows[again], min(2 * m, n)
+    return idx, sq
+
+
+def degenerate_clouds(rng, kind, n):
+    """(points, queries) whose xy extent is degenerate: one xy cell (a single
+    xy, integer z), zero x or zero y extent, or a bulk of normal points with
+    outliers at +-1e300 in x or y (squared distances to them overflow)."""
+    if kind == "one_cell":
+        pts = np.column_stack([np.full((n, 2), [0.3, -1.2]), rng.integers(-3, 4, size=n)])
+        query = np.column_stack([rng.normal(0.3, 0.5, size=(40, 2)),
+                                 rng.integers(-4, 5, size=40)])
+    elif kind in ("zero_x", "zero_y"):
+        pts = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+        pts[:, kind == "zero_y"] = 0.5
+        query = rng.normal(0.0, 2.0, size=(40, 3))
+    else:
+        pts = rng.normal(size=(n, 3))
+        far = rng.choice(n, size=max(1, n // 20), replace=False)
+        axis = rng.integers(0, 2, size=len(far))
+        pts[far, axis] = rng.choice([-1e300, 1e300], size=len(far))
+        query = rng.normal(size=(40, 3))
+    return np.ascontiguousarray(pts, dtype=np.float64), query
+
+
+DEGENERATE = ["one_cell", "zero_x", "zero_y", "huge"]
 
 
 class TestKnnOracle:
@@ -469,6 +518,54 @@ class TestKnnOracle:
                                                [1.5, -1.0, 2.0]]), k=1)
         assert_bitwise(got, np.array([11000, 11000, 15000]))
 
+    # the brute force squares the distances to +-1e300 outliers too
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+    @pytest.mark.parametrize("kind", DEGENERATE)
+    def test_degenerate_xy_extents(self, kind):
+        rng = np.random.default_rng(42)
+        for trial in range(6):
+            n = int(rng.integers(60, 200))
+            pts, query = degenerate_clouds(rng, kind, n)
+            labeled = LabeledPointCloud(pts, rng.choice([1001, 2001, 4001, 11000], size=n))
+            for k in (1, 3, 8):
+                self.check(labeled, query, k)
+
+
+class TestNearestOracle:
+    """_nearest against reference_nearest, bit for bit in (idx, sq)."""
+
+    def check(self, points, query, k):
+        got, want = pipeline._nearest(points, query, k), reference_nearest(points, query, k)
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
+
+    @pytest.mark.parametrize("kind", ["continuous", "lattice", "duplicates", "few",
+                                      *DEGENERATE])
+    def test_seeded_clouds(self, kind):
+        # 25 clouds per kind, 200 in all
+        rng = np.random.default_rng(["continuous", "lattice", "duplicates", "few",
+                                     *DEGENERATE].index(kind) + 50)
+        for trial in range(25):
+            n = int(rng.integers(30, 300))
+            if kind == "continuous":
+                pts, query = rng.normal(size=(n, 3)), rng.normal(size=(60, 3))
+            elif kind == "lattice":            # exact ties at the k-th distance
+                pts = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+                query = rng.integers(-4, 5, size=(60, 3)).astype(np.float64)
+            elif kind == "duplicates":         # copies spread over the whole cloud
+                base = rng.normal(size=(int(rng.integers(3, 20)), 3))
+                pts = base[rng.integers(0, len(base), size=n)]
+                query = np.concatenate([base, rng.normal(size=(40, 3))])
+            elif kind == "few":                # n <= k + 3
+                n = int(rng.integers(1, 12))
+                pts = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+                query = rng.integers(-2, 3, size=(20, 3)).astype(np.float64)
+            else:
+                pts, query = degenerate_clouds(rng, kind, n)
+            low = max(1, n - 3) if kind == "few" else 1
+            for k in sorted({low, int(rng.integers(low, min(n, 9) + 1)), min(n, 8)}):
+                self.check(pts, query, k)
+
 
 class TestVoxelizeOracle:
     def check(self, cloud, spec):
@@ -531,7 +628,8 @@ class TestVoxelizeOracle:
             pts.append(centers)
             labs.append(rng.choice(pool, size=len(single)))
             outside = rng.uniform(-3.0, 3.0, size=(500, 3))
-            outside = outside[~SPEC.index_in_bounds(SPEC.world_to_index(outside))]
+            outside = outside[~reference_index_in_bounds(
+                SPEC, reference_world_to_index(SPEC, outside))]
             pts.append(outside)
             labs.append(rng.choice(pool, size=len(outside)))
             pts, labs = np.concatenate(pts), np.concatenate(labs)
@@ -631,6 +729,49 @@ class TestRemoveOracle:
                      OrientedBox((offset - 1.0, -offset + 1.0, -1.0), (1.5, 1.5, 0.5),
                                  np.pi / 4)]
             self.check(cloud, boxes)
+
+    def test_corners_on_an_axis_at_far_centres(self):
+        # a corner on the x or y axis through the centre reaches the square's side,
+        # and points within a few ulps of it test the margin against the rounding
+        for offset in (1e5, 1e6, -3e7):
+            steps = np.arange(-6, 7) * np.spacing(offset)
+            around = np.stack(np.meshgrid(steps, steps, [0.0]), -1).reshape(-1, 3)
+            for (w, l), turn in itertools.product([(1.5, 1.5), (2.0, 1.0), (0.5, 3.0)],
+                                                  range(4)):
+                box = OrientedBox((offset + 0.3, -offset, 0.0), (w, l, 1.0),
+                                  float(np.arctan2(l, w) + turn * np.pi / 2))
+                signs = np.array([[-1, -1, 0], [-1, 1, 0], [1, -1, 0], [1, 1, 0]])
+                corners = box.pose().apply(signs * np.array([w / 2, l / 2, 0.0]))
+                pts = (corners[:, None] + around).reshape(-1, 3)
+                self.check(LabeledPointCloud(pts, np.full(len(pts), 1001)), [box])
+
+    def test_corner_one_cell_past_the_unwidened_square(self):
+        # the table's square is widened by r / 2**20: points just inside a corner on
+        # the x axis through the centre, in the cell after the one holding cx + r
+        # less that widening, must still reach the exact test
+        for w, l in ((1.5, 1.5), (2.0, 1.0), (0.5, 3.0)):
+            r = np.hypot(w, l) / 2.0
+            box = OrientedBox((10.0 - r + 1e-7, 100.0, 0.0), (w, l, 1.0),
+                              float(-np.arctan2(l, w)))
+            corner = box.pose().apply(np.array([w / 2, l / 2, 0.0]))
+            inward = corner + np.array([[1e-9], [1e-8], [5e-8]]) * (box.center - corner) / r
+            anchors = np.array([[0.0, 0.0, 0.0], [256.0, 200.0, 0.0]])  # cells of width 1 in x
+            cloud = LabeledPointCloud(np.concatenate([anchors, inward]), np.full(5, 1001))
+            assert np.all(cloud.points[2:, 0] > 10.0)
+            self.check(cloud, [box])
+            assert len(remove_points_in_boxes(cloud, [box])) == 2
+
+    def test_corner_of_a_box_wider_than_its_centre_is_far(self):
+        # the margin grows with r, so it stays positive where r > 1 + |cx| + |cy|
+        for w, l in ((20.0, 20.0), (30.0, 8.0)):
+            r = np.hypot(w, l) / 2.0
+            box = OrientedBox((0.5, -0.25, 0.0), (w, l, 1.0), float(-np.arctan2(l, w)))
+            corner = box.pose().apply(np.array([w / 2, l / 2, 0.0]))
+            inward = corner + np.array([[1e-12], [1e-10], [1e-9]]) * (box.center - corner) / r
+            outside = np.array([[0.5, -40.0, 0.0]])
+            cloud = LabeledPointCloud(np.concatenate([inward, outside]), np.full(4, 1001))
+            self.check(cloud, [box])
+            assert len(remove_points_in_boxes(cloud, [box])) == 1
 
     def test_boxes_away_from_every_point(self):
         rng = np.random.default_rng(37)
@@ -803,13 +944,22 @@ class TestIndexInBoundsOracle:
         axes = [np.array([-1, 0, n - 1, n]) for n in spec.dims]
         return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
 
+    # the int64 cast of a coordinate far outside the grid is invalid and unused
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     @pytest.mark.parametrize("dims", [(8, 8, 4), (1, 5, 3), (2, 1, 1)])
     def test_boundaries_in_every_shape(self, dims):
+        # voxelize_majority tests each float index against its axis; the oracle
+        # casts first and tests the integers. Points on each voxel's low face,
+        # just below it and at its centre, and far outside the grid.
         spec = GridSpec(dims, (0.0, 0.0, 0.0), 0.5)
         idx = self.corners(spec)
         assert reference_index_in_bounds(spec, idx).sum() == 8  # 0 and n - 1 per axis
-        assert_bitwise(spec.index_in_bounds(idx), reference_index_in_bounds(spec, idx))
-        block = idx[:8].reshape(2, 4, 3)
-        assert_bitwise(spec.index_in_bounds(block), reference_index_in_bounds(spec, block))
-        for one in idx:
-            assert_bitwise(spec.index_in_bounds(one), reference_index_in_bounds(spec, one))
+        face = idx * 0.5
+        far = np.array([[1e30, 0.1, 0.1], [0.1, -1e30, 0.1], [0.1, 0.1, 1e300],
+                        [-1e300, 0.1, 0.1], [2.0**63, 0.1, 0.1]])
+        pts = np.concatenate([face, np.nextafter(face, -np.inf), face + 0.25, far])
+        labels = 1001 + np.arange(len(pts)) % 7
+        for order in (np.arange(len(pts)), np.random.default_rng(41).permutation(len(pts))):
+            cloud = LabeledPointCloud(pts[order], labels[order])
+            got = voxelize_majority(cloud, spec, SCHEMA).labels
+            assert_bitwise(got, reference_voxelize_majority(cloud, spec, SCHEMA).labels)
