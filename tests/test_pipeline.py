@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestKnn:
             query = rng.normal(size=(40, 3))
             assert_bitwise(knn_propagate(labeled, query, k),
                            knn_oracle(labeled, query, k))
+
+    @pytest.mark.parametrize("points, query", [
+        (np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [1e300, 0, 0]]), [-1e300, 0, 0]),
+        (np.random.default_rng(13).random((50, 3)), [1e200, 0, 0])],
+        ids=["outliers-on-both-sides", "far-query"])
+    def test_overflowing_squared_distances_rejected(self, points, query):
+        # the tree reports a neighbour at no finite squared distance as index n
+        labeled = LabeledPointCloud(points, np.full(len(points), 1001))
+        with pytest.raises(ValueError, match="overflow"):
+            knn_propagate(labeled, np.array(query), k=1)
 
 
 class TestFitAsset:
@@ -474,7 +485,7 @@ class TestKnnOracle:
         labeled = LabeledPointCloud(pts, rng.choice([1001, 2001, 4001, 11000],
                                                     size=len(pts)))
         query = rng.integers(-4, 5, size=(400, 3)).astype(np.float64)
-        monkeypatch.setattr(pipeline, "cKDTree", lambda p, **_: cKDTree(p, **build))
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda p, **_: cKDTree(p, **build))
         for k in (1, 2, 5, 8):
             self.check(labeled, query, k)
 
@@ -490,7 +501,7 @@ class TestKnnOracle:
                 counts.append(k)
                 return super().query(x, k=k, **kw)
 
-        monkeypatch.setattr(pipeline, "cKDTree", lambda p, **kw: CountingTree(p, **kw))
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda p, **kw: CountingTree(p, **kw))
         self.check(labeled, np.array([[0.0, 0, 0], [2.9, 0, 0]]), 3)
         assert counts == [6, 12, 24, 28]
 
@@ -802,6 +813,23 @@ class TestRemoveOracle:
         boxes.append(OrientedBox(tuple(centre), (1.0, 1.0, 2.0), 0.0))
         self.check(cloud, boxes)
         assert len(remove_points_in_boxes(cloud, boxes)) < len(pts)
+
+    @pytest.mark.parametrize("flat", [0, 1])
+    def test_zero_extent_cloud_under_a_wide_box_warns_nothing(self, flat):
+        # the flat axis's cell width is tiny, so the box edges' cells overflow
+        pts = np.zeros((3, 3))
+        pts[:, flat], pts[:, 1 - flat] = 2.0, [0.0, 1.0, 15.0]
+        cloud = LabeledPointCloud(pts, np.array([1001, 1002, 1003]))
+        centre, size = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+        centre[flat], size[1 - flat] = 2.0, 20.0
+        box = OrientedBox(tuple(centre), tuple(size), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = remove_points_in_boxes(cloud, [box])
+        keep = ~box.contains(pts)
+        assert_bitwise(got.points, pts[keep])
+        assert_bitwise(got.labels, cloud.labels[keep])
+        assert len(got) == 1
 
     def test_points_spread_over_a_billion_metres(self):
         rng = np.random.default_rng(46)
