@@ -29,6 +29,11 @@ PANOPTIC_LABEL_MIN = PANOPTIC_CLASS_MIN * INSTANCE_BASE   # 1000
 PANOPTIC_LABEL_MAX = PANOPTIC_CLASS_MAX * INSTANCE_BASE + INSTANCE_MAX   # 17999
 
 
+def _is_int(v) -> bool:
+    """An integer, Python or numpy, that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _schema_codes(codes: range, num_classes: int, free_class: int) -> list[int]:
     """The codes whose same-valued semantic id exists and is not ``free_class``."""
     return [c for c in codes if c < num_classes and c != free_class]
@@ -135,15 +140,18 @@ def panoptic_decode(label: np.ndarray | int):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a dense ego-centered voxel grid."""
+    """Geometry of a dense ego-centered voxel grid: three integer dims >= 1
+    (not bools), three finite origin coordinates, a positive finite voxel size."""
 
     dims: tuple[int, int, int]
     origin: tuple[float, float, float]
     voxel_size: float
 
     def __post_init__(self):
-        if any(d <= 0 for d in self.dims):
-            raise ValueError("grid dims must be positive")
+        if np.shape(self.dims) != (3,) or not all(_is_int(d) and d >= 1 for d in self.dims):
+            raise ValueError(f"grid dims must be three integers >= 1, not {self.dims!r}")
+        if np.shape(self.origin) != (3,):
+            raise ValueError("grid origin must have three coordinates")
         # chained comparisons are False for NaN, so they reject it too
         if not 0 < self.voxel_size < np.inf:
             raise ValueError("voxel_size must be positive and finite")
@@ -166,7 +174,8 @@ class GridSpec:
 
 
 class SemanticOccupancyGrid:
-    """Dense voxel grid of semantic class ids."""
+    """Dense voxel grid of semantic class ids, of any integer dtype
+    (``PanopticVoxelGrid.to_semantic`` gives uint8, or uint16 above 255 classes)."""
 
     def __init__(self, spec: GridSpec, labels: np.ndarray):
         labels = np.asarray(labels)
@@ -192,7 +201,8 @@ class SemanticOccupancyGrid:
 
 
 class PanopticVoxelGrid:
-    """Dense voxel grid of packed panoptic labels (free voxels hold 17000)."""
+    """Dense voxel grid of packed panoptic labels (free voxels hold 17000), of
+    any integer dtype; ``voxelize_majority`` gives uint16."""
 
     FREE_LABEL = PANOPTIC_CLASS_MAX * INSTANCE_BASE
 
@@ -207,10 +217,11 @@ class PanopticVoxelGrid:
 
     def _lookup(self, table_of) -> np.ndarray:
         """Each voxel's entry in ``table_of(class codes, instance ids)`` of all
-        panoptic labels: one ``take``, where decoding every voxel took a divmod."""
+        panoptic labels: one ``take``, where decoding every voxel took a divmod.
+        The index is written as intp by the subtraction, so no dtype adds a pass."""
         panoptic_decode(np.array([self.labels.min(), self.labels.max()]))  # range check
         s, i = np.divmod(np.arange(PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX + 1), INSTANCE_BASE)
-        return table_of(s, i).take(self.labels - PANOPTIC_LABEL_MIN)
+        return table_of(s, i).take(np.subtract(self.labels, PANOPTIC_LABEL_MIN, dtype=np.intp))
 
     def validate(self, schema: LabelSchema) -> None:
         worst = self._lookup(lambda s, i: (  # 2: class beyond the schema; 1: stuff/free instance
@@ -312,14 +323,20 @@ _RESOLUTION_TOL = 1e-6  # absorbs float32 header rounding of on-disk resolutions
 
 
 class BevLayout:
-    """Ego-centered multi-hot raster; bits[i, j] is a channel bitmask."""
+    """Ego-centered multi-hot raster; bits[i, j] is a uint16 channel bitmask.
+
+    Width and height are integers >= 1 and channels an integer in [0, 16] (not
+    bools); given bits need an integer dtype and no bit at or above ``channels``.
+    """
 
     MAX_CHANNELS = 16
 
     def __init__(self, width: int, height: int, resolution: float,
                  channels: int, bits: np.ndarray | None = None):
-        if channels > self.MAX_CHANNELS:
-            raise ValueError("at most 16 channels fit the per-cell bitmask")
+        if not (_is_int(width) and _is_int(height) and width >= 1 and height >= 1):
+            raise ValueError(f"layout size must be integers >= 1, not {width!r} x {height!r}")
+        if not (_is_int(channels) and 0 <= channels <= self.MAX_CHANNELS):
+            raise ValueError(f"channels must be an integer in [0, 16], not {channels!r}")
         if not 0 < resolution < np.inf:
             raise ValueError("resolution must be positive and finite")
         self.width = int(width)
@@ -328,10 +345,14 @@ class BevLayout:
         self.channels = int(channels)
         if bits is None:
             bits = np.zeros((self.width, self.height), dtype=np.uint16)
-        bits = np.asarray(bits, dtype=np.uint16)
+        bits = np.asarray(bits)
         if bits.shape != (self.width, self.height):
             raise ValueError("bits shape mismatch")
-        self.bits = bits
+        if not np.issubdtype(bits.dtype, np.integer):
+            raise ValueError(f"bits need an integer dtype, not {bits.dtype}")
+        if bits.size and (int(bits.min()) < 0 or int(bits.max()) >> self.channels):
+            raise ValueError(f"bits set outside the layout's {self.channels} channels")
+        self.bits = bits.astype(np.uint16, copy=False)
 
     @property
     def origin_xy(self) -> tuple[float, float]:

@@ -128,10 +128,15 @@ def load_bevl(path: str | Path) -> BevLayout:
 
 
 def save_lpcd(path: str | Path, points: np.ndarray, labels: np.ndarray) -> None:
+    """Labels need an integer dtype and values in the u32 field's [0, 2**32)."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) != len(labels):
         raise ValueError("points must be (N, 3) with matching labels")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels need an integer dtype, not {labels.dtype}")
+    if labels.size and (int(labels.min()) < 0 or int(labels.max()) >= 2**32):
+        raise ValueError("labels outside the u32 range [0, 2**32)")
     rec = np.empty(len(points), dtype=_LPCD_RECORD)
     rec["xyz"] = points.astype(np.float32)
     rec["label"] = labels.astype(np.uint32)
@@ -139,6 +144,7 @@ def save_lpcd(path: str | Path, points: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_lpcd(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) float64 points and N int64 labels, each in [0, 2**32)."""
     with _reading(path, b"LPCD") as f:
         (n,) = _unpack(f, "<I")
         rec = _array(f, _LPCD_RECORD, (n,))

@@ -30,20 +30,29 @@ from .core import (
 
 @dataclass(frozen=True)
 class LabeledPointCloud:
-    """N x 3 points with one panoptic label each."""
+    """N x 3 float64 points with one panoptic label each.
+
+    ``labels`` must have an integer dtype other than bool and lie in the
+    panoptic range [1000, 17999] (``ValueError``); they are stored as uint16,
+    without a copy when they already are.
+    """
 
     points: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(self.labels).reshape(-1)
         if len(points) != len(labels):
             raise ValueError("points and labels length mismatch")
+        if not np.issubdtype(labels.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError(f"panoptic labels need an integer dtype, not {labels.dtype}")
+        if labels.size:
+            panoptic_decode(np.array([labels.min(), labels.max()]))  # range check
         if points.size and not np.all(np.isfinite(points)):
             raise ValueError("non-finite point coordinates")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.uint16, copy=False))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -62,16 +71,15 @@ def voxelize_majority(
     """Majority-vote voxelization over sorted (voxel, label) keys.
 
     Each voxel takes the most frequent panoptic label among the points
-    inside it; ties break toward the smaller label. Every point label must
-    lie in the panoptic range [1000, 17999] (ValueError), even one that loses
-    its vote. Votes are runs of sorted keys ``voxel * 17000 + label - 1000``,
-    so memory stays O(points) whatever the number of labels; a voxel's winner
-    is the first key of its run with the run's top count (linear time).
-    Points outside the grid are dropped; voxels without points stay free.
+    inside it; ties break toward the smaller label. Votes are runs of sorted
+    int64 keys ``voxel * 17000 + label - 1000`` (the cloud holds every label
+    in [1000, 17999]), so memory stays O(points) whatever the number of labels;
+    a voxel's winner is the first key of its run with the run's top count
+    (linear time). Points outside the grid are dropped; voxels without points
+    stay free. The grid's labels are uint16.
     """
-    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
+    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.uint16)
     if len(cloud):
-        panoptic_decode(np.array([cloud.labels.min(), cloud.labels.max()]))  # range check
         keep, flat = np.ones(len(cloud), dtype=bool), np.zeros(len(cloud), dtype=np.int64)
         buf = np.empty(len(cloud))  # floor((p - origin) / voxel_size), a column at a time
         for a, d in enumerate(spec.dims):
@@ -152,10 +160,11 @@ def knn_propagate(
     their index in ``labeled``; so the k-d tree's build never changes the
     output. Majority ties break toward the nearest tied member's label,
     then toward the smaller label; k is clamped to the labeled-set size.
+    Returns one label per query in the cloud's dtype (uint16).
     The vote compares each neighbour's label with every label of its row, over
     all queries at once: O(Q * k^2) work. Seed-1 bench cloud (960 k points, 20 k
-    queries, k = 5), 2-core host, best of 5: ordering 54 ms, build 125 (56 of it
-    scipy's fixed axis-0 min and max passes), query 73, candidate rule 44, vote 42."""
+    queries, k = 5), 2-core host, best of 5: ordering 45 ms, build 105 (with
+    scipy's fixed axis-0 min and max passes), query 61, candidate rule 16, vote 5."""
     if len(labeled) == 0:
         raise ValueError("empty labeled set")
     if k < 1:
@@ -168,7 +177,7 @@ def knn_propagate(
     top = counts == counts.max(axis=1, keepdims=True)
     dist = np.where(top, np.sqrt(sq), np.inf)
     nearest = top & (dist == dist.min(axis=1, keepdims=True))
-    return np.where(nearest, lab, np.iinfo(np.int64).max).min(axis=1)
+    return np.where(nearest, lab, np.iinfo(lab.dtype).max).min(axis=1)
 
 
 def fit_asset_to_box(asset: np.ndarray, box: OrientedBox) -> np.ndarray:
@@ -254,7 +263,8 @@ def resample_occupancy(
     fill one reused buffer from per-axis centre rows; each source index is
     floored in place, clipped per axis to [-1, n] and read by one ``take``
     from a copy of the input framed by one free voxel. Float operations are
-    unchanged. Memory: output + one slab + one framed copy of the input.
+    unchanged. Memory: output + one slab + one framed copy of the input. The
+    output's labels keep the input's dtype.
     """
     spec = grid.spec
     nx, ny, nz = dims = spec.dims

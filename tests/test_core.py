@@ -425,6 +425,12 @@ class TestBoundaries:
             with pytest.raises(ValueError, match="free_class"):
                 LabelSchema(num_classes=6, free_class=free)
 
+    def test_num_layout_channels_is_the_top_channel_plus_one(self):
+        assert SCHEMA.num_layout_channels == 15
+        assert LabelSchema.toy().num_layout_channels == 4
+        assert LabelSchema(layout_channel_map={3: 7, 4: 2}).num_layout_channels == 8
+        assert LabelSchema(layout_channel_map={}).num_layout_channels == 0
+
     def test_grid_spec_sizes(self):
         assert GridSpec((1, 1, 1), (0.0, 0.0, 0.0), 1e-300).num_voxels == 1
         with pytest.raises(ValueError, match="dims"):
@@ -432,6 +438,40 @@ class TestBoundaries:
         for bad in (0.0, -0.4):
             with pytest.raises(ValueError, match="voxel_size"):
                 GridSpec((4, 4, 2), (0.0, 0.0, 0.0), bad)
+
+    # each used to construct; full_free then raised TypeError or built a 2-D or 4-D grid
+    @pytest.mark.parametrize("dims", [(4.0, 4, 4), (2.5, 4, 4), (True, 4, 4), (4, 4),
+                                      (4, 4, 4, 4), (4, 4, np.float64(4))])
+    def test_grid_spec_dims_must_be_three_integers(self, dims):
+        with pytest.raises(ValueError, match="dims"):
+            GridSpec(dims, (0.0, 0.0, 0.0), 0.4)
+
+    def test_grid_spec_integer_dims_and_origin_of_three(self):
+        spec = GridSpec((np.int64(4), np.uint16(2), 1), (0.0, 0.0, 0.0), 0.4)
+        assert SemanticOccupancyGrid.full_free(spec, SCHEMA).labels.shape == (4, 2, 1)
+        for origin in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 0.0):
+            with pytest.raises(ValueError, match="origin"):
+                GridSpec((4, 4, 4), origin, 0.4)
+
+    @pytest.mark.parametrize("args", [(4.5, 4, 0.4, 2), (4, 0, 0.4, 2), (0, 4, 0.4, 2),
+                                      (True, 4, 0.4, 2), (4, 4, 0.4, -1), (4, 4, 0.4, 17),
+                                      (4, 4, 0.4, 2.0)])
+    def test_layout_size_and_channels_are_checked(self, args):
+        # 4.5 was truncated to 4; a zero side and channels=-1 were accepted
+        with pytest.raises(ValueError, match="layout size|channels"):
+            BevLayout(*args)
+
+    def test_layout_bits_must_fit_the_channels(self):
+        ok = np.array([[0, 7], [5, 1]], dtype=np.int64)
+        assert BevLayout(2, 2, 0.4, 3, ok).bits.tolist() == [[0, 7], [5, 1]]
+        assert BevLayout(2, 2, 0.4, 16, np.full((2, 2), 0xFFFF)).bits.dtype == np.uint16
+        assert BevLayout(1, 1, 0.4, 0).bits.tolist() == [[0]]
+        # 70000 and -1 wrapped to 4464 and 65535; 8 sets bit 3 of a 3-channel layout
+        for bad in (70000, -1, 8):
+            with pytest.raises(ValueError, match="outside"):
+                BevLayout(2, 2, 0.4, 3, np.array([[0, 1], [bad, 2]]))
+        with pytest.raises(ValueError, match="integer dtype"):
+            BevLayout(2, 2, 0.4, 3, np.ones((2, 2)))
 
     def test_pose_shapes(self):
         for r, t in ((np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2))):
@@ -606,8 +646,9 @@ class TestValidateOracle:
                 PanopticVoxelGrid(spec, np.array(labels).reshape(spec.dims))
 
     def test_uint16_and_int32_grids(self):
+        # and the other widths: the lookup's index is intp whatever the grid's dtype
         spec = GridSpec((2, 2, 1), (0.0, 0.0, 0.0), 1.0)
-        for dtype in (np.uint16, np.int32):
+        for dtype in (np.uint16, np.int32, np.int16, np.int64, np.uint64):
             grid = PanopticVoxelGrid(spec, np.array([[[17000], [4002]], [[11000], [1000]]],
                                                     dtype=dtype))
             grid.validate(SCHEMA)

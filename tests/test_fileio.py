@@ -181,6 +181,36 @@ def test_bevl_non_finite_header_rejected(tmp_path, bad):
         fileio.load_bevl(path)
 
 
+@pytest.mark.parametrize("w, h, channels, bits", [
+    (2, 2, 3, [[0, 1], [8, 2]]),         # bit 3 of a 3-channel layout
+    (2, 2, 0, [[0, 0], [0, 1]]),         # any bit of a 0-channel layout
+    (0, 2, 3, []),                       # an empty raster
+    (2, 2, 17, [[0, 0], [0, 0]])],       # more channels than a u16 mask holds
+    ids=["bit-past-channels", "bit-of-no-channel", "zero-width", "17-channels"])
+def test_hostile_bevl_rejected(tmp_path, w, h, channels, bits):
+    path = tmp_path / "l.bevl"
+    payload = np.asarray(bits, dtype="<u2").tobytes()
+    path.write_bytes(b"BEVL" + struct.pack("<IIfB", w, h, 0.4, channels) + payload)
+    with pytest.raises(ValueError):
+        fileio.load_bevl(path)
+
+
+@pytest.mark.parametrize("labels", [[1, -1], [1, 2**33 + 5], [1, 2**32], [1.0, 2.0], [True, False]])
+def test_lpcd_save_rejects_labels_the_u32_field_would_wrap(tmp_path, labels):
+    # -1 was written as 4294967295 and 2**33 + 5 as 5
+    path = tmp_path / "c.lpcd"
+    with pytest.raises(ValueError, match="labels"):
+        fileio.save_lpcd(path, np.zeros((2, 3)), np.array(labels))
+    assert not path.exists()
+
+
+def test_lpcd_labels_at_the_u32_ends_round_trip(tmp_path):
+    path = tmp_path / "c.lpcd"
+    for labels in (np.array([0, 2**32 - 1], dtype=np.uint64), np.array([0, 17999], np.uint16)):
+        fileio.save_lpcd(path, np.zeros((2, 3)), labels)
+        assert fileio.load_lpcd(path)[1].tolist() == labels.tolist()
+
+
 def test_pkpt_truncated_and_oversized(tmp_path):
     path = tmp_path / "c.pkpt"
     fileio.save_pkpt(path, {"w": np.ones((2, 3)), "b": np.zeros(3)})

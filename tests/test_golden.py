@@ -30,9 +30,9 @@ VAE = vae.VaeConfig(grid_dims=(8, 8, 8), num_classes=LabelSchema().num_classes,
                     hidden=(8, 8, 8), spatial_downsample=2, attn_heads=2)
 
 GOLDEN = {
-    "remove": "0a0121ab10fe9c02",
-    "voxelize": "afc23158ab6e3e24",
-    "knn": "f1e04e1d3c933abd",
+    "remove": "f547f213dd1a3df2",
+    "voxelize": "d244ccef7273afaf",
+    "knn": "3e03cb7de961a4a9",
     "resample": "b62a5938ce4967f7",
     "layout_overwrite": "e74e308dc5382e9c",
     "occg_round_trip": "8c968f6d7a4eb47a",

@@ -46,6 +46,34 @@ def voxelize_oracle(cloud, spec):
     return out
 
 
+class TestLabeledPointCloud:
+    @pytest.mark.parametrize("labels", [[4001.7], [4001.0], [True], ["4001"]],
+                             ids=["fraction", "whole-float", "bool", "str"])
+    def test_labels_without_an_integer_dtype_are_rejected(self, labels):
+        # int64 storage truncated 4001.7 to 4001 and took True as 1
+        with pytest.raises(ValueError, match="integer dtype"):
+            LabeledPointCloud(np.zeros((1, 3)), np.array(labels))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint16, np.uint64])
+    def test_labels_are_stored_as_uint16_with_their_values(self, dtype):
+        labels = np.array([[1000, 4001], [17000, 17999]], dtype=dtype)
+        cloud = LabeledPointCloud(np.zeros((4, 3)), labels)
+        assert cloud.labels.dtype == np.uint16
+        assert cloud.labels.tolist() == [1000, 4001, 17000, 17999]
+        assert np.shares_memory(cloud.labels, labels) == (dtype == np.uint16)
+
+    def test_stages_keep_uint16_labels(self):
+        rng = np.random.default_rng(9)
+        cloud = LabeledPointCloud(rng.uniform(-2, 2, size=(300, 3)),
+                                  rng.choice([1001, 4001, 11000], size=300))
+        box = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.3)
+        assert remove_points_in_boxes(cloud, [box]).labels.dtype == np.uint16
+        assert voxelize_majority(cloud, SPEC, SCHEMA).labels.dtype == np.uint16
+        assert knn_propagate(cloud, rng.normal(size=(5, 3)), 3).dtype == np.uint16
+        empty = LabeledPointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        assert voxelize_majority(empty, SPEC, SCHEMA).labels.dtype == np.uint16
+
+
 class TestVoxelize:
     def test_single_point(self):
         cloud = LabeledPointCloud(np.array([[0.1, 0.1, 0.1]]), np.array([4001]))
@@ -103,7 +131,7 @@ def knn_oracle(labeled, query, k):
     np.unique vote, ties to the nearest tied member, then the smaller label."""
     query = np.asarray(query, dtype=np.float64).reshape(-1, 3)
     k = min(k, len(labeled))
-    out = np.empty(len(query), dtype=np.int64)
+    out = np.empty(len(query), dtype=labeled.labels.dtype)
     for qi, q in enumerate(query):
         d = labeled.points - q
         sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
@@ -301,7 +329,7 @@ def reference_index_in_bounds(spec, idx):
 
 
 def reference_voxelize_majority(cloud, spec, schema):
-    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
+    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.uint16)
     if len(cloud):
         idx = reference_world_to_index(spec, cloud.points)
         keep = reference_index_in_bounds(spec, idx)
@@ -325,7 +353,7 @@ def reference_voxelize_majority(cloud, spec, schema):
 def reference_voxelize_compacted(cloud, spec, schema):
     """The sorted-key vote over np.unique-compacted labels, which the packed
     panoptic key replaced."""
-    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.int64)
+    labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.uint16)
     if len(cloud):
         idx = reference_world_to_index(spec, cloud.points)
         keep = reference_index_in_bounds(spec, idx)
@@ -527,7 +555,7 @@ class TestKnnOracle:
         labeled = LabeledPointCloud(pts, labels)
         got = knn_propagate(labeled, np.array([[0.5, -1.0, 2.0], [0.4, -1.0, 2.0],
                                                [1.5, -1.0, 2.0]]), k=1)
-        assert_bitwise(got, np.array([11000, 11000, 15000]))
+        assert_bitwise(got, np.array([11000, 11000, 15000], dtype=np.uint16))
 
     # the brute force squares the distances to +-1e300 outliers too
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
@@ -682,19 +710,17 @@ class TestVoxelizeOracle:
         cloud = LabeledPointCloud(np.zeros((3, 3)), np.array([17999, 1000, 1000]))
         assert self.check(cloud, spec)[1, 1, 0] == 1000
 
-    @pytest.mark.parametrize("bad", [0, 999, 18000, -1001])
+    # 69537 = 65536 + 4001 would wrap to a valid label in a uint16 cast
+    @pytest.mark.parametrize("bad", [0, 999, 18000, -1001, 69537])
     def test_a_label_outside_the_panoptic_range_is_rejected_even_when_it_loses(self, bad):
-        # every point label is checked, whether it votes and wins, loses or lies outside
-        # the voxel's vote goes 3 to 1 for 4001, so the old output-only check passed it
+        # every point label is checked when the cloud is built, whether it would win
+        # its voxel's vote, lose it (3 to 1 for 4001 here) or lie outside the grid
         pts = np.array([[0.1, 0.1, 0.1]] * 4)
-        cloud = LabeledPointCloud(pts, np.array([4001, 4001, bad, 4001]))
-        assert reference_voxelize_compacted(cloud, SPEC, SCHEMA).labels[4, 4, 2] == 4001
         with pytest.raises(ValueError, match="outside"):
-            voxelize_majority(cloud, SPEC, SCHEMA)
-        outside = LabeledPointCloud(np.array([[0.1, 0.1, 0.1], [9.0, 0.0, 0.0]]),
-                                    np.array([4001, bad]))     # a point outside the grid
-        with pytest.raises(ValueError, match="outside"):
-            voxelize_majority(outside, SPEC, SCHEMA)
+            LabeledPointCloud(pts, np.array([4001, 4001, bad, 4001]))
+        with pytest.raises(ValueError, match="outside"):     # a point outside the grid
+            LabeledPointCloud(np.array([[0.1, 0.1, 0.1], [9.0, 0.0, 0.0]]),
+                              np.array([4001, bad]))
 
 
 class TestRemoveOracle:

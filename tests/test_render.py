@@ -535,6 +535,15 @@ def test_camera_non_finite_focal_rejected(bad):
                    pose=Se3Pose.identity())
 
 
+def test_focal_length_bound_is_strict():
+    for fx, fy in ((1e-300, 1.0), (1.0, 1e-300)):
+        assert Camera(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4,
+                      pose=Se3Pose.identity()).fx == fx
+    for fx, fy in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="focal"):
+            Camera(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4, pose=Se3Pose.identity())
+
+
 def test_principal_point_range_ends():
     for cx, cy in ((0.0, 0.0), (3.99, 0.0), (0.0, 3.99)):
         cam = Camera(fx=1, fy=1, cx=cx, cy=cy, width=4, height=4, pose=Se3Pose.identity())
