@@ -102,10 +102,10 @@ class LabelSchema:
             out |= np.equal(s, code)
         return out if isinstance(s, np.ndarray) else bool(out)
 
-    @classmethod
-    def toy(cls) -> "LabelSchema":
+    @staticmethod
+    def toy() -> "LabelSchema":
         """Six-class schema for procedural datasets: 2 agents, 2 stuff, free class 5."""
-        return cls(
+        return LabelSchema(
             num_classes=6,
             free_class=5,
             thing_classes=frozenset({1, 2}),

@@ -1,4 +1,4 @@
-"""Binary containers and JSON sidecar formats.
+"""Binary containers.
 
 Every binary format has one layout: a 4-byte ASCII magic, a little-endian
 header, then a payload whose size the header declares. Every declared size
@@ -23,7 +23,6 @@ The headers and payloads:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -33,7 +32,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import BevLayout, GridSpec, LabelSchema, OverwriteRule, Se3Pose
+from .core import BevLayout, GridSpec
 
 _LPCD_RECORD = np.dtype([("xyz", "<f4", (3,)), ("label", "<u4")])
 
@@ -208,54 +207,3 @@ def load_pkpt(path: str | Path) -> dict[str, np.ndarray]:
             (rank,) = _unpack(f, "<I")
             out[name] = _array(f, "<f8", _unpack(f, f"<{rank}I"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON sidecars
-# ---------------------------------------------------------------------------
-
-
-def dump_json(path: str | Path, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def schema_to_json(schema: LabelSchema) -> dict:
-    return {
-        "num_classes": schema.num_classes,
-        "free_class": schema.free_class,
-        "thing_classes": sorted(schema.thing_classes),
-        "stuff_classes": sorted(schema.stuff_classes),
-        "layout_channel_map": {str(k): v for k, v in schema.layout_channel_map.items()},
-    }
-
-
-def schema_from_json(obj: dict) -> LabelSchema:
-    return LabelSchema(
-        num_classes=int(obj["num_classes"]),
-        free_class=int(obj["free_class"]),
-        thing_classes=frozenset(int(c) for c in obj["thing_classes"]),
-        stuff_classes=frozenset(int(c) for c in obj["stuff_classes"]),
-        layout_channel_map={int(k): int(v) for k, v in obj["layout_channel_map"].items()},
-    )
-
-
-def rules_from_json(items: list[dict]) -> list[OverwriteRule]:
-    return [OverwriteRule(channel=int(r["channel"]), new_class=int(r["new_class"]),
-                          mask=str(r.get("mask", "full"))) for r in items]
-
-
-def rules_to_json(rules: list[OverwriteRule]) -> list[dict]:
-    return [{"channel": r.channel, "new_class": r.new_class, "mask": r.mask}
-            for r in rules]
-
-
-def pose_to_json(pose: Se3Pose) -> dict:
-    return {"rotation": [list(map(float, row)) for row in pose.rotation],
-            "translation": list(map(float, pose.translation))}
-
-
-def pose_from_json(obj: dict) -> Se3Pose:
-    return Se3Pose(np.asarray(obj["rotation"], dtype=np.float64),
-                   np.asarray(obj["translation"], dtype=np.float64))

@@ -182,7 +182,8 @@ def conv2d_backward(dout: np.ndarray, cache):
     bsz, ho, wo, _ = dout.shape
     dflat = dout.reshape(-1, cout)
     cols = _im2col(xp, kh, kw).reshape(-1, kh * kw * cin)
-    # the same sums as cols.T @ dflat, bit for bit, in a faster BLAS orientation
+    # cols.T @ dflat in the GEMM orientation BLAS runs faster; the two orders
+    # round alike under some BLAS kernels only
     dw = (dflat.T @ cols).T.reshape(w.shape)
     del cols
     db = dflat.sum(axis=0)

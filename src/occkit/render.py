@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
 from .core import GridSpec, LabelSchema, Se3Pose, SemanticOccupancyGrid
 
 BASE_ROLES = ("FL", "F", "FR", "BR", "B", "BL")
@@ -128,13 +127,12 @@ def raycast_grid(
     dirs: np.ndarray,
     max_range: float,
     free_class: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """March rays through the voxel grid; first non-free voxel wins.
 
     Vectorized over rays: every iteration moves each live ray into the
-    next voxel it pierces. Returns (hit (N,), voxel index (N, 3), entry
-    distance (N,), ``inf`` on a miss); distances are ray parameters, in
-    units of ``|dir|``.
+    next voxel it pierces. Returns (hit (N,), voxel index (N, 3), zero on a
+    miss); ray parameters ``t`` below are in units of ``|dir|``.
 
     * Entry: a ray starts at ``t = max(t_grid_enter, 0)`` in the voxel
       holding that point, clipped into the grid; a ray from inside the
@@ -148,8 +146,7 @@ def raycast_grid(
     * Rays need finite origins and finite, non-zero directions; others
       raise ``ValueError``.
 
-    Results are bit-identical, entry distances included, to the
-    reference traversal kept in the tests.
+    Results are bit-identical to the reference traversal kept in the tests.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
@@ -163,7 +160,6 @@ def raycast_grid(
 
     hit = np.zeros(n, dtype=bool)
     hit_iv = np.zeros((n, 3), dtype=np.int64)
-    hit_t = np.full(n, np.inf)
 
     zero = d == 0.0
     if zero.all(axis=0).any() or not (np.isfinite(o).all() and np.isfinite(d).all()):
@@ -178,7 +174,7 @@ def raycast_grid(
     t_exit = hi_t.min(axis=0)
     active = np.nonzero((t_enter <= t_exit) & (t_enter <= max_range))[0]
     if len(active) == 0:
-        return hit, hit_iv, hit_t
+        return hit, hit_iv
 
     o, d, t_cur = o.take(active, axis=1), d.take(active, axis=1), t_enter[active]
     iv = np.clip(np.floor((o + t_cur * d - g0) / vox).astype(np.int64), 0, dims - 1)
@@ -210,7 +206,6 @@ def raycast_grid(
             ridx = active[found]
             hit[ridx] = True
             hit_cell[ridx] = cell[found]
-            hit_t[ridx] = t_cur[found]
         live &= v == 0
         tx, ty, tz = tm.reshape(3, m)
         # (axis, ray) of the nearest boundary; ties: lowest axis
@@ -221,7 +216,7 @@ def raycast_grid(
         live &= t_cur <= max_range
         n_live = np.count_nonzero(live)
     hit_iv[hit] = np.transpose(np.unravel_index(hit_cell[hit], occ.shape)) - 1
-    return hit, hit_iv, hit_t
+    return hit, hit_iv
 
 
 def raycast_buffers(
@@ -235,8 +230,8 @@ def raycast_buffers(
         raise ValueError("max_range must be positive")
     dirs = cam.pixel_directions()
     origins = np.broadcast_to(cam.center(), dirs.shape)
-    hit, iv, _ = raycast_grid(grid.labels, grid.spec, origins.reshape(-1, 3),
-                              dirs.reshape(-1, 3), max_range, schema.free_class)
+    hit, iv = raycast_grid(grid.labels, grid.spec, origins.reshape(-1, 3),
+                           dirs.reshape(-1, 3), max_range, schema.free_class)
     h, w = cam.height, cam.width
     iv = iv[hit]
     hit = hit.reshape(h, w)
@@ -290,41 +285,6 @@ def densify_rig(rig: CameraRig, insertions_per_gap: int) -> CameraRig:
                               role="virtual", name=f"virtual_{counter:02d}"))
             counter += 1
     return CameraRig(out)
-
-
-# ---------------------------------------------------------------------------
-# Rig JSON
-# ---------------------------------------------------------------------------
-
-
-def camera_to_json(cam: Camera) -> dict:
-    obj = {
-        "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-        "width": cam.width, "height": cam.height, "role": cam.role,
-    }
-    obj.update(fileio.pose_to_json(cam.pose))
-    if cam.name != cam.role:
-        obj["name"] = cam.name
-    return obj
-
-
-def camera_from_json(obj: dict) -> Camera:
-    return Camera(
-        fx=float(obj["fx"]), fy=float(obj["fy"]),
-        cx=float(obj["cx"]), cy=float(obj["cy"]),
-        width=int(obj["width"]), height=int(obj["height"]),
-        pose=fileio.pose_from_json(obj),
-        role=str(obj.get("role", "")),
-        name=str(obj.get("name", obj.get("role", ""))),
-    )
-
-
-def rig_to_json(rig: CameraRig) -> list[dict]:
-    return [camera_to_json(c) for c in rig.cameras]
-
-
-def rig_from_json(items: list[dict]) -> CameraRig:
-    return CameraRig([camera_from_json(o) for o in items])
 
 
 def standard_rig(fx: float = 24.0, width: int = 48, height: int = 32,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,17 +77,6 @@ class VaeConfig:
     @property
     def num_down_stages(self) -> int:
         return {1: 0, 2: 1, 4: 2, 8: 3}[self.spatial_downsample]
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VaeConfig":
-        names = {f.name for f in fields(cls)}
-        if set(obj) != names:
-            raise ValueError(f"VaeConfig keys: unknown {sorted(set(obj) - names)}, "
-                             f"missing {sorted(names - set(obj))}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
 def _stage_widths(cfg: VaeConfig) -> list[int]:

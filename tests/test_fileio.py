@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from occkit import fileio
-from occkit.core import BevLayout, GridSpec, LabelSchema, OverwriteRule, Se3Pose
+from occkit.core import BevLayout, GridSpec
 
 
 def test_occg_round_trip(tmp_path):
@@ -124,25 +124,6 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         fileio.load_occg(path)
-
-
-def test_schema_json_round_trip(tmp_path):
-    schema = LabelSchema.toy()
-    obj = fileio.schema_to_json(schema)
-    back = fileio.schema_from_json(obj)
-    assert back == schema
-
-
-def test_rules_json_round_trip():
-    rules = [OverwriteRule(2, 13, "full"), OverwriteRule(5, 14, "edge")]
-    assert fileio.rules_from_json(fileio.rules_to_json(rules)) == rules
-
-
-def test_pose_json_round_trip():
-    pose = Se3Pose.from_yaw(0.4, (1.0, -2.0, 0.5))
-    back = fileio.pose_from_json(fileio.pose_to_json(pose))
-    assert np.allclose(back.rotation, pose.rotation, atol=1e-15)
-    assert np.allclose(back.translation, pose.translation, atol=1e-15)
 
 
 def test_occg_truncated_and_oversized(tmp_path):

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occkit
 from occkit import nn, vae
 
 
@@ -49,7 +54,9 @@ def reference_conv2d_backward(dout: np.ndarray, cache):
     kh, kw, cin, cout = w.shape
     bsz, ho, wo, _ = dout.shape
     dflat = dout.reshape(-1, cout)
-    dw = (cols.reshape(-1, kh * kw * cin).T @ dflat).reshape(w.shape)
+    # the library's GEMM orientation: cols.T @ dflat rounds otherwise under
+    # some OpenBLAS kernels (Haswell)
+    dw = (dflat.T @ cols.reshape(-1, kh * kw * cin)).T.reshape(w.shape)
     db = dflat.sum(axis=0)
     dcols = dout @ w.reshape(-1, cout).T
     dxp = np.zeros(xpad_shape, dtype=dout.dtype)
@@ -388,6 +395,41 @@ class TestConvPool:
         rng = np.random.default_rng(18)
         x = rng.normal(size=(2, 4, 6, 3))
         assert np.array_equal(nn.depth_to_space(nn.space_to_depth(x, 2), 2), x)
+
+
+def numpy_blas() -> str:
+    """The name of the BLAS numpy was built with, or "" where numpy cannot say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return ""
+
+
+def cpu_flags() -> set[str]:
+    cpuinfo = Path("/proc/cpuinfo")
+    return set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(not {"avx2", "fma"} <= cpu_flags(), reason="the CPU lacks AVX2 or FMA")
+def test_conv_oracles_hold_under_the_openblas_haswell_kernel():
+    """The bitwise conv oracles, rerun where OpenBLAS runs its Haswell GEMM kernel.
+
+    OpenBLAS picks its kernel by CPU, and kernels round one GEMM orientation
+    differently from the other: an AVX-512 host alone cannot show that the
+    oracle follows the library's orientation.
+    """
+    here = Path(__file__).resolve()
+    tests = [f"{here}::TestConvPool::{name}" for name in (
+        "test_conv_matches_reference_bitwise",
+        "test_conv_backward_non_contiguous_dout_matches_reference")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": str(Path(occkit.__file__).resolve().parents[1])}
+    # -o pythonpath= drops the ini's src/, so the child tests the occkit this run imports
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-o", "pythonpath=", *tests], cwd=here.parents[1], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:]
 
 
 def test_embedding_backward():

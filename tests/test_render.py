@@ -7,13 +7,10 @@ from occkit.render import (
     Camera,
     GeometryBuffers,
     CameraRig,
-    camera_from_json,
     densify_rig,
     plucker_embedding,
     raycast_buffers,
     raycast_grid,
-    rig_from_json,
-    rig_to_json,
     standard_rig,
 )
 
@@ -269,8 +266,8 @@ class TestRaycast:
             targets = rng.uniform(-3.0, 3.0, size=(400, 3))
             dirs = targets - origins
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            hit, iv, _ = raycast_grid(labels, spec, origins, dirs, 60.0,
-                                      SCHEMA.free_class)
+            hit, iv = raycast_grid(labels, spec, origins, dirs, 60.0,
+                                   SCHEMA.free_class)
             ohit, oiv, cert = sampling_first_hit(labels, spec, origins, dirs,
                                                  60.0, SCHEMA.free_class)
             total += int(cert.sum())
@@ -289,10 +286,10 @@ class TestRaycast:
         cam = make_camera(pose=Se3Pose.from_translation((0.1, -0.2, -5.0)))
         dirs = cam.pixel_directions().reshape(-1, 3)
         origins = np.broadcast_to(cam.center(), dirs.shape)
-        hit_a, _, t_a = raycast_grid(sparse, spec, origins, dirs, 60.0,
-                                     SCHEMA.free_class)
-        hit_b, _, t_b = raycast_grid(extra, spec, origins, dirs, 60.0,
-                                     SCHEMA.free_class)
+        hit_a, t_a = assert_same_traversal(sparse, spec, origins, dirs, 60.0,
+                                           SCHEMA.free_class)
+        hit_b, t_b = assert_same_traversal(extra, spec, origins, dirs, 60.0,
+                                           SCHEMA.free_class)
         assert np.all(hit_b[hit_a])
         assert np.all(t_b[hit_a] <= t_a[hit_a] + 1e-12)
 
@@ -321,15 +318,17 @@ class TestRaycast:
 
 
 def assert_same_traversal(labels, spec, origins, dirs, max_range, free):
-    """(hit, voxel index, entry t) of both traversals are bitwise equal."""
-    hit, iv, t = raycast_grid(labels, spec, origins, dirs, max_range, free)
+    """The hit mask and voxel index equal the reference's, bit for bit.
+
+    Returns the hit mask and the reference's entry distance, ``inf`` on a
+    miss, which ``raycast_grid`` does not return.
+    """
+    hit, iv = raycast_grid(labels, spec, origins, dirs, max_range, free)
     rhit, riv, rt = reference_raycast_grid(labels, spec, origins, dirs,
                                            max_range, free)
     assert np.array_equal(hit, rhit)
     assert np.array_equal(iv, riv)
-    assert np.array_equal(t, rt)
-    assert np.array_equal(t.view(np.int64), rt.view(np.int64))  # sign of 0 too
-    return hit, t
+    return hit, rt
 
 
 # Direction components in {-1, 0, 1}: zero components and exact diagonals,
@@ -398,9 +397,14 @@ class TestRaycastOracle:
             assert_same_traversal(labels, spec, origins, dirs, max_range, free)
         assert_same_traversal(np.full(spec.dims, free), spec, origins, dirs,
                               np.inf, free)
+        # subnormal components: every crossing time overflows to inf, so the
+        # tie rule steps the lowest axis, even one the ray does not move along
+        with np.errstate(over="ignore"):  # the overflow to inf is the case under test
+            tiny = assert_same_traversal(labels, spec, origins, dirs * 5e-324, np.inf, free)
+        assert tiny[0].any()
         empty = np.zeros((0, 3))
-        hit, iv, t = raycast_grid(labels, spec, empty, empty, 5.0, free)
-        assert hit.shape == (0,) and iv.shape == (0, 3) and t.shape == (0,)
+        hit, iv = raycast_grid(labels, spec, empty, empty, 5.0, free)
+        assert hit.shape == (0,) and iv.shape == (0, 3)
 
     def test_input_layouts(self):
         """The same rays as Fortran-ordered, strided, broadcast and list inputs."""
@@ -500,16 +504,6 @@ class TestDensify:
         rig = densify_rig(CameraRig([a, b]), 1)
         assert np.allclose(rig.cameras[1].pose.rotation,
                            Se3Pose.from_yaw(0.5).rotation, atol=1e-12)
-
-
-def test_rig_json_round_trip():
-    rig = densify_rig(standard_rig(), 1)
-    back = rig_from_json(rig_to_json(rig))
-    assert [c.name for c in back.cameras] == [c.name for c in rig.cameras]
-    for a, b in zip(rig.cameras, back.cameras):
-        assert np.allclose(a.pose.rotation, b.pose.rotation, atol=1e-15)
-        assert np.allclose(a.pose.translation, b.pose.translation, atol=1e-15)
-        assert (a.fx, a.fy, a.cx, a.cy) == (b.fx, b.fy, b.cx, b.cy)
 
 
 def test_duplicate_base_role_rejected():

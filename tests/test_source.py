@@ -56,12 +56,7 @@ _VALUE = "a constructor of a value type, kept with the type"
 ALLOWLIST: dict[str, str] = {
     **{f"fileio.{name}": _FORMAT for name in (
         "save_bevl", "load_bevl", "save_lpcd", "load_lpcd", "save_cbuf", "load_cbuf",
-        "save_plkb", "load_plkb", "dump_json", "schema_to_json",
-        "schema_from_json", "rules_to_json", "rules_from_json")},
-    "render.rig_to_json": _FORMAT,
-    "render.rig_from_json": _FORMAT,
-    "vae.VaeConfig.to_json": _FORMAT,
-    "vae.VaeConfig.from_json": _FORMAT,
+        "save_plkb", "load_plkb")},
     "metrics.binary_iou": _METRIC,
     "core.LabelSchema.agent_channels": _METRIC,
     "metrics.channel_subset_mean": _METRIC,

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -36,18 +35,16 @@ def test_encode_mean_is_deterministic():
 
 
 def test_config_and_checkpoint_round_trip_is_bit_identical(tmp_path):
+    # the config is built in code; only the weights go through a PKPT file
     params = init_vae_params(CFG, np.random.default_rng(3))
-    fileio.dump_json(tmp_path / "cfg.json", CFG.to_json())
     fileio.save_pkpt(tmp_path / "w.pkpt", params)
-    cfg2 = VaeConfig.from_json(json.loads((tmp_path / "cfg.json").read_text()))
     params2 = fileio.load_pkpt(tmp_path / "w.pkpt")
-    assert cfg2 == CFG
     labels = tiny_batch(4, batch=2)
     z = vae_encode_mean(params, CFG, labels)
-    z2 = vae_encode_mean(params2, cfg2, labels)
+    z2 = vae_encode_mean(params2, CFG, labels)
     assert z.tobytes() == z2.tobytes()
     out = vae_reconstruct(params, CFG, z)
-    out2 = vae_reconstruct(params2, cfg2, z2)
+    out2 = vae_reconstruct(params2, CFG, z2)
     assert out.shape == labels.shape
     assert out.tobytes() == out2.tobytes()
 
@@ -143,16 +140,6 @@ def test_config_rejects_what_would_fail_later(change):
 def test_config_accepts_the_attention_width():
     cfg = dataclasses.replace(CFG, hidden=(6, 8, 6), attn_heads=4)
     init_vae_params(cfg, np.random.default_rng(0))
-
-
-def test_from_json_rejects_unknown_and_missing_keys():
-    obj = CFG.to_json()
-    assert VaeConfig.from_json(dict(obj)) == CFG
-    with pytest.raises(ValueError, match="unknown"):
-        VaeConfig.from_json({**obj, "dropout": 0.1})
-    del obj["kl_weight"]
-    with pytest.raises(ValueError, match="missing"):
-        VaeConfig.from_json(obj)
 
 
 def test_train_step_loss_gradient_matches_finite_differences():
