@@ -1,16 +1,18 @@
 """Deterministic float64 tensor layers with hand-written backward passes.
 
 Every forward returns ``(out, cache)``; the matching ``*_backward``
-consumes ``(dout, cache)`` and returns exact gradients. The layer menu
-is what the occupancy VAE uses: linear, layernorm, silu, multi-head
+consumes ``(dout, cache)`` and returns exact gradients. ``silu``'s cache is
+its derivative: one array, where input and sigmoid would be two. The layer
+menu is what the occupancy VAE uses: linear, layernorm, silu, multi-head
 attention, a same-size convolution with odd kernel sides (zero-padded by
 k // 2, stride 1), the space/depth shuffles that resample by 2x around a
 linear layer, and embedding lookup, plus Adam and gradient clipping.
 Each piece is verifiable by central finite differences at 64-bit
 precision. There is no autodiff graph: a model's forward pass records the
-matching backward calls on a list, a tape, and replays it in reverse (see
-:mod:`occkit.vae`). The vectorised layers do the float operations of
-plain loops in the same order; ``tests/test_nn.py`` keeps those as oracles.
+matching backward calls on a list, a tape, and replays it once in reverse,
+consuming it (see :mod:`occkit.vae`). The vectorised layers do the float
+operations of plain loops in the same order; ``tests/test_nn.py`` keeps
+those as oracles.
 
 Randomness is drawn from named Philox streams derived from one root
 seed, so every training run is reproducible across platforms:
@@ -51,12 +53,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def silu(x: np.ndarray):
     s = sigmoid(x)
-    return x * s, (x, s)
+    return x * s, s * (1.0 + x * (1.0 - s))
 
 
 def silu_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x, s = cache
-    return dout * (s * (1.0 + x * (1.0 - s)))
+    return dout * cache
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def raycast_grid(
     zero = d == 0.0
     if zero.all(axis=0).any() or not (np.isfinite(o).all() and np.isfinite(d).all()):
         raise ValueError("rays need finite origins and finite, non-zero directions")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = (g0 - o) / d
         tb = (g1 - o) / d
     inside = (o >= g0) & (o < g1)
@@ -179,7 +179,7 @@ def raycast_grid(
     o, d, t_cur = o.take(active, axis=1), d.take(active, axis=1), t_enter[active]
     iv = np.clip(np.floor((o + t_cur * d - g0) / vox).astype(np.int64), 0, dims - 1)
     boundary = g0 + (iv + (d > 0)) * vox
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tm = np.where(d != 0, (boundary - o) / d, np.inf).ravel()
         td = np.where(d != 0, vox / np.abs(d), np.inf).ravel()
 

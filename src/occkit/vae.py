@@ -13,7 +13,8 @@ is written once, in the forward pass: each block pushes a step
 ``step(dout, grads) -> dinput`` on a list, the tape, which calls the
 layer's backward and accumulates the gradients of its named parameters.
 ``vae_encode`` and ``vae_decode`` return their tape, and the matching
-``*_backward`` replays it last step first.
+``*_backward`` replays it once, last step first: it pops each step as it
+runs, so a layer's cache is freed as soon as its backward has run.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
 
 
 def _replay(tape: list, d: np.ndarray, grads: dict) -> np.ndarray:
-    """Run a tape's steps last to first; returns the gradient of its input."""
-    for step in reversed(tape):
-        d = step(d, grads)
+    """Pop and run a tape's steps last to first; returns its input's gradient."""
+    if not tape:
+        raise ValueError("empty tape: a tape replays once")
+    while tape:
+        d = tape.pop()(d, grads)
     return d
 
 
@@ -292,6 +295,7 @@ def vae_train_step(
     l_focal, dlogits = focal_loss(probs, labels)
     l_lovasz, dprobs = lovasz_softmax(probs, labels)
     dlogits = dlogits + nn.softmax_backward(dprobs, probs)
+    del logits, probs, dprobs
     l_kl, dmu_kl, dlogvar_kl = kl_standard_normal(mu, logvar)
 
     dz = vae_decode_backward(grads, dlogits, dec_tape)

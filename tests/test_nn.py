@@ -13,8 +13,9 @@ from occkit import nn, vae
 
 
 # ---------------------------------------------------------------------------
-# Reference layers: the slice-loop im2col, the masked sigmoid and the
-# scatter-add embedding gradient, kept verbatim as bitwise oracles
+# Reference layers: the slice-loop im2col, the masked sigmoid, the SiLU that
+# caches its input and sigmoid, and the scatter-add embedding gradient, kept
+# verbatim as bitwise oracles
 # ---------------------------------------------------------------------------
 
 
@@ -76,6 +77,16 @@ def reference_embedding_backward(dout: np.ndarray, cache) -> np.ndarray:
     return dtable
 
 
+def reference_silu(x: np.ndarray):
+    s = reference_sigmoid(x)
+    return x * s, (x, s)
+
+
+def reference_silu_backward(dout: np.ndarray, cache) -> np.ndarray:
+    x, s = cache
+    return dout * (s * (1.0 + x * (1.0 - s)))
+
+
 def reference_same_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """The oracle at nn.conv2d's signature, for the square kernels the VAE uses."""
     return reference_conv2d(x, w, b, padding=w.shape[0] // 2)
@@ -83,6 +94,8 @@ def reference_same_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 REFERENCE_LAYERS = {
     "sigmoid": reference_sigmoid,
+    "silu": reference_silu,
+    "silu_backward": reference_silu_backward,
     "conv2d": reference_same_conv2d,
     "conv2d_backward": reference_conv2d_backward,
     "embedding_backward": reference_embedding_backward,
@@ -175,6 +188,33 @@ class TestSigmoid:
         assert_same_bits(nn.sigmoid(x), reference_sigmoid(x))
         grid = rng.standard_normal((2, 5, 7, 3))
         assert_same_bits(nn.sigmoid(grid), reference_sigmoid(grid))
+
+
+class TestSilu:
+    def test_grad(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(4, 5)) * 4.0
+
+        def f(x):
+            y, cache = nn.silu(x)
+            return y, lambda d: (nn.silu_backward(d, cache),)
+
+        assert nn.grad_check(f, [x], rng=rng) < 1e-6
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(23)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, 700.0, -700.0, tiny, -tiny, 1e-310, -1e-310])
+        x = np.concatenate([special, rng.standard_normal(4000) * 8.0,
+                            rng.uniform(-800.0, 800.0, 4000)])
+        rng.shuffle(x)
+        x = x.reshape(8, -1)
+        dout = rng.standard_normal(x.shape)
+        y, cache = nn.silu(x)
+        y_ref, cache_ref = reference_silu(x)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(nn.silu_backward(dout, cache),
+                         reference_silu_backward(dout, cache_ref))
 
 
 class TestAttention:

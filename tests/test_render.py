@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -399,9 +401,14 @@ class TestRaycastOracle:
                               np.inf, free)
         # subnormal components: every crossing time overflows to inf, so the
         # tie rule steps the lowest axis, even one the ray does not move along
-        with np.errstate(over="ignore"):  # the overflow to inf is the case under test
-            tiny = assert_same_traversal(labels, spec, origins, dirs * 5e-324, np.inf, free)
-        assert tiny[0].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit, iv = raycast_grid(labels, spec, origins, dirs * 5e-324, np.inf, free)
+        with np.errstate(over="ignore"):  # the oracle's overflow to inf is the case
+            rhit, riv, _ = reference_raycast_grid(labels, spec, origins, dirs * 5e-324,
+                                                  np.inf, free)
+        assert np.array_equal(hit, rhit) and np.array_equal(iv, riv)
+        assert hit.any()
         empty = np.zeros((0, 3))
         hit, iv = raycast_grid(labels, spec, empty, empty, 5.0, free)
         assert hit.shape == (0,) and iv.shape == (0, 3)

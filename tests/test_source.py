@@ -19,9 +19,10 @@ a public function needs a call in those caller modules, to a function of
 the same name, that passes it by keyword, by position or through ``*`` or
 ``**``. So does each defaulted parameter of a public class's constructor:
 of its ``__init__``, or the defaulted fields of a dataclass, at their
-position in field order, in calls to the class's name. The others are
-listed in ``DEFAULTS_ALLOWLIST`` as ``module.function(parameter)`` or
-``module.Class(parameter)`` with their reason; stale entries fail.
+position in field order, in calls to the class's name or to ``cls`` in
+its classmethods. The others are listed in ``DEFAULTS_ALLOWLIST`` as
+``module.function(parameter)`` or ``module.Class(parameter)`` with their
+reason; stale entries fail.
 
 Every public name defined more than once has each definition listed in
 ``SHARED_NAMES``, with the function that calls it or with its reason,
@@ -245,14 +246,28 @@ def defaulted_callables(tree: ast.Module, module: str):
             yield f"{module}.{node.name}", node.name, constructor_defaults(node)
 
 
+def called_names(tree: ast.Module):
+    """(called name, call) of each call; ``cls(...)`` in a classmethod calls its class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            yield node.func.id, node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.args.args and any(
+                        "classmethod" in referenced_names(d) for d in item.decorator_list)):
+                    first = item.args.args[0].arg
+                    yield from ((node.name, call) for call in ast.walk(item)
+                                if isinstance(call, ast.Call)
+                                and isinstance(call.func, ast.Name) and call.func.id == first)
+
+
 def unpassed_defaults() -> set[str]:
     calls: dict[str, list[ast.Call]] = defaultdict(list)
     for path in CALLER_MODULES:
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                calls[node.func.id].append(node)
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                calls[node.func.attr].append(node)
+        for called, node in called_names(parse(path)):
+            calls[called].append(node)
     return {f"{qualname}({name})" for path in MODULES
             for qualname, called, defaults in defaulted_callables(parse(path), path.stem)
             for name, index in defaults
@@ -265,6 +280,14 @@ def test_every_default_is_passed_by_a_caller_or_has_a_reason():
 
 def test_defaults_allowlist_is_not_stale():
     assert sorted(DEFAULTS_ALLOWLIST.keys() - unpassed_defaults()) == []
+
+
+def test_cls_calls_in_classmethods_call_their_class():
+    tree = ast.parse("class A:\n"
+                     "    @classmethod\n    def make(cls):\n        return cls(1, b=2)\n"
+                     "    def copy(self, cls):\n        return cls(3, 4)\n")
+    got = [(name, len(call.args)) for name, call in called_names(tree)]
+    assert [n for name, n in got if name == "A"] == [1]
 
 
 IMPORT_ALL = f"""
