@@ -217,11 +217,16 @@ class PanopticVoxelGrid:
 
     def _lookup(self, table_of) -> np.ndarray:
         """Each voxel's entry in ``table_of(class codes, instance ids)`` of all
-        panoptic labels: one ``take``, where decoding every voxel took a divmod.
-        The index is written as intp by the subtraction, so no dtype adds a pass."""
+        panoptic labels, by ``take`` of an intp index made one 65,536-voxel slab
+        at a time into one output, so no transient spans the grid."""
         panoptic_decode(np.array([self.labels.min(), self.labels.max()]))  # range check
         s, i = np.divmod(np.arange(PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX + 1), INSTANCE_BASE)
-        return table_of(s, i).take(np.subtract(self.labels, PANOPTIC_LABEL_MIN, dtype=np.intp))
+        table, src = table_of(s, i), self.labels.reshape(-1)
+        dst = np.empty(src.shape, table.dtype)
+        for a in range(0, src.size, 1 << 16):
+            b = a + (1 << 16)
+            np.take(table, np.subtract(src[a:b], PANOPTIC_LABEL_MIN, dtype=np.intp), out=dst[a:b])
+        return dst.reshape(self.labels.shape)
 
     def validate(self, schema: LabelSchema) -> None:
         worst = self._lookup(lambda s, i: (  # 2: class beyond the schema; 1: stuff/free instance

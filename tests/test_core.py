@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from occkit.core import (
+    INSTANCE_BASE,
     PANOPTIC_CLASS_MAX,
+    PANOPTIC_LABEL_MAX,
+    PANOPTIC_LABEL_MIN,
     BevLayout,
     GridSpec,
     LabelSchema,
@@ -653,3 +658,48 @@ class TestValidateOracle:
                                                     dtype=dtype))
             grid.validate(SCHEMA)
             assert_bitwise(grid.to_semantic(SCHEMA).labels, reference_to_semantic(grid, SCHEMA))
+
+
+def reference_lookup(grid, table_of):
+    """``PanopticVoxelGrid._lookup`` as it was: one ``take`` of an intp index
+    over the whole grid."""
+    s, i = np.divmod(np.arange(PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX + 1), INSTANCE_BASE)
+    return table_of(s, i).take(np.subtract(grid.labels, PANOPTIC_LABEL_MIN, dtype=np.intp))
+
+
+def mixed_panoptic_labels(rng, dims):
+    """Every class code, with instance ids on thing voxels only."""
+    codes = rng.integers(1, PANOPTIC_CLASS_MAX + 1, size=dims)
+    inst = np.where(SCHEMA.is_stuff_or_free(codes), 0, rng.integers(0, INSTANCE_BASE, dims))
+    return (codes * INSTANCE_BASE + inst).astype(np.uint16)
+
+
+class TestLookupBySlab:
+    def test_standard_grid_peaks_near_its_output(self):
+        spec = GridSpec.standard()
+        grid = PanopticVoxelGrid(spec, mixed_panoptic_labels(np.random.default_rng(54), spec.dims))
+        want = reference_to_semantic(grid, SCHEMA)
+        for fn in (grid.validate, grid.to_semantic):
+            tracemalloc.start()
+            try:
+                out = fn(SCHEMA)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2 ** 20, f"{fn.__name__} peaked at {peak / 2 ** 20:.1f} MB"
+        assert_bitwise(out.labels, want)
+        assert_bitwise(out.labels, reference_lookup(grid, lambda s, _: np.where(
+            s == PANOPTIC_CLASS_MAX, SCHEMA.free_class, s).astype(np.uint8)))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (7, 11, 13), (256, 256, 1), (300, 300, 1),
+                                      (257, 256, 1), (3, 65536, 2)])
+    def test_same_bits_as_one_take_at_and_around_slab_ends(self, dims):
+        rng = np.random.default_rng(55)
+        grid = PanopticVoxelGrid(GridSpec(dims, (0.0, 0.0, 0.0), 1.0),
+                                 mixed_panoptic_labels(rng, dims))
+        for table_of in (lambda s, i: (s * INSTANCE_BASE + i).astype(np.uint16),
+                         lambda s, i: (s + 3 * i).astype(np.float64)):
+            assert_bitwise(grid._lookup(table_of), reference_lookup(grid, table_of))
+        view = PanopticVoxelGrid(GridSpec(dims[::-1], (0.0, 0.0, 0.0), 1.0), grid.labels.T)
+        table_of = lambda s, i: (s * INSTANCE_BASE + i).astype(np.int32)
+        assert_bitwise(view._lookup(table_of), reference_lookup(view, table_of))

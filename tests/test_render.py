@@ -135,6 +135,42 @@ def embedding(cam):
     return plucker_embedding(cam.pixel_directions(), cam.center())
 
 
+def reference_pixel_directions(cam: Camera) -> np.ndarray:
+    """Reference directions: ``Camera.pixel_directions`` as it was, normalised
+    by ``np.linalg.norm`` over a length-3 last axis; it must give the same bits."""
+    u = (np.arange(cam.width) + 0.5 - cam.cx) / cam.fx
+    v = (np.arange(cam.height) + 0.5 - cam.cy) / cam.fy
+    uu, vv = np.meshgrid(u, v, indexing="xy")
+    d_cam = np.stack([uu, vv, np.ones_like(uu)], axis=-1)
+    d_cam /= np.linalg.norm(d_cam, axis=-1, keepdims=True)
+    return d_cam @ cam.pose.rotation.T
+
+
+def random_rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return q * np.sign(np.linalg.det(q))
+
+
+def test_pixel_directions_match_the_norm_oracle_bit_for_bit():
+    rng = np.random.default_rng(2623)
+    sizes = [1, 2, 3, 7, 90, 160, 199, 200]
+    for trial in range(60):
+        width = int(sizes[trial % 8] if trial < 16 else rng.integers(1, 201))
+        height = int(sizes[trial // 2 % 8] if trial < 16 else rng.integers(1, 201))
+        fx = float(rng.uniform(0.5, 400.0))
+        fy = fx * float(rng.uniform(0.5, 2.0))
+        cam = Camera(fx=fx, fy=fy, cx=float(rng.uniform(0, width)),
+                     cy=float(rng.uniform(0, height)), width=width, height=height,
+                     pose=Se3Pose(random_rotation(rng), rng.normal(size=3) * 10))
+        got = cam.pixel_directions()
+        assert fx != fy and got.shape == (height, width, 3)
+        assert got.tobytes() == reference_pixel_directions(cam).tobytes()
+    for cam in densify_rig(densify_rig(standard_rig(fx=80.0, width=160, height=90), 1),
+                           1).cameras:
+        assert cam.pixel_directions().tobytes() == reference_pixel_directions(cam).tobytes()
+
+
 class TestPlucker:
     def test_principal_ray_identity_pose(self):
         emb = embedding(make_camera())
