@@ -173,9 +173,8 @@ class GridSpec:
         return cls(dims=(256, 256, 25), origin=(-51.2, -51.2, -5.0), voxel_size=0.4)
 
 
-class SemanticOccupancyGrid:
-    """Dense voxel grid of semantic class ids, of any integer dtype
-    (``PanopticVoxelGrid.to_semantic`` gives uint8, or uint16 above 255 classes)."""
+class _LabelGrid:
+    """Dense (X, Y, Z) label array of an integer dtype, shaped as ``spec.dims``."""
 
     def __init__(self, spec: GridSpec, labels: np.ndarray):
         labels = np.asarray(labels)
@@ -185,6 +184,11 @@ class SemanticOccupancyGrid:
             raise ValueError("labels must be integer-typed")
         self.spec = spec
         self.labels = labels
+
+
+class SemanticOccupancyGrid(_LabelGrid):
+    """Dense voxel grid of semantic class ids, of any integer dtype
+    (``PanopticVoxelGrid.to_semantic`` gives uint8, or uint16 above 255 classes)."""
 
     def validate(self, schema: LabelSchema) -> None:
         if self.labels.size and int(self.labels.max()) >= schema.num_classes:
@@ -200,20 +204,11 @@ class SemanticOccupancyGrid:
         return SemanticOccupancyGrid(self.spec, self.labels.copy())
 
 
-class PanopticVoxelGrid:
+class PanopticVoxelGrid(_LabelGrid):
     """Dense voxel grid of packed panoptic labels (free voxels hold 17000), of
     any integer dtype; ``voxelize_majority`` gives uint16."""
 
     FREE_LABEL = PANOPTIC_CLASS_MAX * INSTANCE_BASE
-
-    def __init__(self, spec: GridSpec, labels: np.ndarray):
-        labels = np.asarray(labels)
-        if labels.shape != tuple(spec.dims):
-            raise ValueError(f"labels shape {labels.shape} != dims {spec.dims}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be integer-typed")
-        self.spec = spec
-        self.labels = labels
 
     def _lookup(self, table_of) -> np.ndarray:
         """Each voxel's entry in ``table_of(class codes, instance ids)`` of all
@@ -297,7 +292,10 @@ class Se3Pose:
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """Yaw-oriented 3D box; size = (width, length, height) on box axes (x, y, z)."""
+    """Yaw-oriented 3D box; size = (width, length, height) on box axes (x, y, z).
+    The package's one box rule, boundary inclusive, with ``dx, dy = x - cx, y - cy``
+    and ``c, s = cos(yaw), sin(yaw)``: the footprint holds (x, y) when ``|dx*c + dy*s|
+    <= w/2`` and ``|-dx*s + dy*c| <= l/2``; the box, when also ``|z - cz| <= h/2``."""
 
     center: tuple[float, float, float]
     size: tuple[float, float, float]
@@ -313,11 +311,26 @@ class OrientedBox:
     def pose(self) -> Se3Pose:
         return Se3Pose.from_yaw(self.yaw, self.center)
 
+    @property
+    def reach(self) -> float:
+        """Half-side of a square around the centre that holds the footprint with a
+        margin far above the rule's rounding: ``r + 1e-9 * (1 + r + |cx| + |cy|)``,
+        ``r`` the radius of the circle through the footprint's corners."""
+        r = np.hypot(self.size[0], self.size[1]) / 2.0
+        return r + 1e-9 * (1.0 + r + abs(self.center[0]) + abs(self.center[1]))
+
+    def footprint_contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The rule's footprint test of points (x, y)."""
+        dx, dy = x - self.center[0], y - self.center[1]
+        c, s = np.cos(self.yaw), np.sin(self.yaw)
+        return ((np.abs(dx * c + dy * s) <= self.size[0] / 2.0)
+                & (np.abs(-dx * s + dy * c) <= self.size[1] / 2.0))
+
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Inclusive containment test (boundary counts as inside)."""
-        local = self.pose().inverse().apply(points)
-        half = np.asarray(self.size, dtype=np.float64) / 2.0
-        return np.all(np.abs(local) <= half, axis=-1)
+        """The rule's box test of points of shape (..., 3)."""
+        p = np.asarray(points, dtype=np.float64)
+        return (self.footprint_contains(p[..., 0], p[..., 1])
+                & (np.abs(p[..., 2] - self.center[2]) <= self.size[2] / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +426,10 @@ def layout_rasterize(
     """Rasterize footprints into a multi-hot layout.
 
     A cell's bit is set when its center lies inside the footprint
-    (inclusive boundaries for boxes, even-odd rule for polygons). Boxes
-    route to channels through ``schema.layout_channel_map``; unmapped
+    (:meth:`OrientedBox.footprint_contains` for boxes, tested only on the cells
+    within :attr:`OrientedBox.reach` of the centre; even-odd rule for polygons).
+    Boxes route to channels through ``schema.layout_channel_map``; unmapped
     classes are skipped. Polygons carry their channel explicitly.
-
-    A box's per-cell expression runs only on cells in a square around its center
-    of half-side ``r + 1e-9 * (1 + r + |cx| + |cy|)``, ``r`` its corner radius: a
-    margin far above the expression's rounding, so no cell outside could pass.
     """
     layout = BevLayout(width, height, resolution, channels)
     cx, cy = layout.cell_centers()
@@ -435,17 +445,10 @@ def layout_rasterize(
         channel = schema.layout_channel_map.get(box.class_id)
         if channel is None:
             continue
-        bcx, bcy = box.center[:2]
-        r = np.hypot(*box.size[:2]) / 2.0
-        r += 1e-9 * (1.0 + r + abs(bcx) + abs(bcy))
+        r = box.reach
         cells = tuple(slice(np.searchsorted(v, c - r), np.searchsorted(v, c + r, "right"))
-                      for v, c in ((xs, bcx), (ys, bcy)))
-        local = centers[cells] - np.asarray(box.center[:2])
-        c, s = np.cos(box.yaw), np.sin(box.yaw)
-        bx = local[..., 0] * c + local[..., 1] * s
-        by = -local[..., 0] * s + local[..., 1] * c
-        mask = (np.abs(bx) <= box.size[0] / 2.0) & (np.abs(by) <= box.size[1] / 2.0)
-        set_channel(mask, channel, cells)
+                      for v, c in zip((xs, ys), box.center[:2]))
+        set_channel(box.footprint_contains(cx[cells], cy[cells]), channel, cells)
 
     for channel, poly in polygons:
         set_channel(points_in_polygon(centers, poly), channel)

@@ -14,18 +14,6 @@ from .nn import sigmoid
 FOCAL_GAMMA = 2.0
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    # a chain of maxima over the class columns is exact in any order, and
-    # much faster than max(axis=-1) over a short class axis; the sum stays a
-    # reduction: a column chain matches its pairwise order only below 8 classes
-    row_max = logits[..., 0]
-    for j in range(1, logits.shape[-1]):
-        row_max = np.maximum(row_max, logits[..., j])
-    shifted = logits - row_max[..., None]
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _rows_and_targets(
     probs: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

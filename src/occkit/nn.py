@@ -104,6 +104,18 @@ def layernorm_backward(dout: np.ndarray, cache) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis. Its maximum is a chain over the columns: exact in
+    any order, and much faster than max(axis=-1) over a short axis; the sum stays a
+    reduction, as a column chain matches its pairwise order only below 8 columns."""
+    row_max = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        row_max = np.maximum(row_max, logits[..., j])
+    shifted = logits - row_max[..., None]
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_backward(dprobs: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Gradient through a softmax over the last axis, given its output."""
     return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
@@ -131,9 +143,7 @@ def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = softmax(scores)
     out = attn @ vh
     cache = (qh, kh, vh, attn, heads, scale)
     return _merge_heads(out), cache

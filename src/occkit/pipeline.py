@@ -9,7 +9,6 @@ host, scipy 1.17), which a process that never propagates labels does not pay.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,18 +204,15 @@ def remove_points_in_boxes(
     """Drop every point inside any box (boundary inclusive), keeping order.
 
     A box runs its exact test, :meth:`OrientedBox.contains`, only on the
-    points whose x and y lie in a square around its center of half-side
-    ``r + 1e-9 * (1 + r + |cx| + |cy|)``, ``r`` being the radius of the
-    circle through the footprint's corners; the margin is far above the
-    exact test's rounding. Both tests (float operations unchanged) run only on
-    ``_xy_cells`` cells that a square widened by more than their rounding reaches.
+    points whose x and y lie within :attr:`OrientedBox.reach` of its center.
+    Both tests run only on ``_xy_cells`` cells that a square widened by more
+    than their rounding reaches.
     """
     if len(cloud) == 0 or not boxes:
         return cloud
     points = cloud.points
     cxy = np.array([box.center[:2] for box in boxes], dtype=np.float64)
-    r = np.array([math.hypot(box.size[0], box.size[1]) / 2.0 for box in boxes])
-    r += 1e-9 * (1.0 + r + np.abs(cxy[:, 0]) + np.abs(cxy[:, 1]))
+    r = np.array([box.reach for box in boxes])
     lo, width, key = _xy_cells(points)
     reach, marked = (r + r / 2**20)[:, None], np.zeros((_BINS, _BINS), dtype=bool)
     # an axis of zero extent has the width tiny, so an edge's cell overflows to

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .losses import focal_loss, kl_standard_normal, lovasz_softmax, softmax
+from .losses import focal_loss, kl_standard_normal, lovasz_softmax
+from .nn import softmax  # by name: the benchmark traces vae.softmax
 
 
 # fixed widths: the class embedding of each height slot, and the latent

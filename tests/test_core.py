@@ -23,6 +23,7 @@ from occkit.core import (
     panoptic_encode,
     points_in_polygon,
 )
+from occkit.pipeline import fit_asset_to_box
 
 SCHEMA = LabelSchema()
 
@@ -298,12 +299,18 @@ class TestPoseAndBox:
         box = OrientedBox(center=(1.0, 2.0, 0.5), size=(2.0, 4.0, 1.0), yaw=0.3)
         assert box.contains(np.array([1.0, 2.0, 0.5]))
         rng = np.random.default_rng(2)
-        pts = rng.uniform(-4, 6, size=(500, 3))
-        got = box.contains(pts)
-        local = box.pose().inverse().apply(pts)
-        half = np.array(box.size) / 2
-        expect = np.all(np.abs(local) <= half, axis=-1)
-        assert np.array_equal(got, expect)
+        asset = rng.uniform(-1.0, 1.0, size=(500, 3))
+        on_face = rng.random(asset.shape) < 0.4
+        asset[on_face] = rng.choice([-1.0, 1.0], size=on_face.sum())
+        faces = fit_asset_to_box(asset, box)   # on the faces, up to rounding
+        for pts in (rng.uniform(-4, 6, size=(500, 3)), faces):
+            got = box.contains(pts)
+            dx, dy, dz = (pts - np.asarray(box.center)).T
+            c, s = np.cos(box.yaw), np.sin(box.yaw)
+            expect = ((np.abs(dx * c + dy * s) <= 1.0) & (np.abs(-dx * s + dy * c) <= 2.0)
+                      & (np.abs(dz) <= 0.5))
+            assert np.array_equal(got, expect)
+            assert 0 < expect.sum() < len(pts)
 
     def test_schema_validation(self):
         with pytest.raises(ValueError):
@@ -435,6 +442,15 @@ class TestBoundaries:
         assert LabelSchema.toy().num_layout_channels == 4
         assert LabelSchema(layout_channel_map={3: 7, 4: 2}).num_layout_channels == 8
         assert LabelSchema(layout_channel_map={}).num_layout_channels == 0
+
+    def test_box_sides_must_be_positive(self):
+        tiny = np.nextafter(0.0, 1.0)
+        OrientedBox((0.0, 0.0, 0.0), (tiny, tiny, tiny), 0.0)
+        for axis in range(3):
+            size = [1.0, 1.0, 1.0]
+            size[axis] = 0.0
+            with pytest.raises(ValueError, match="positive"):
+                OrientedBox((0.0, 0.0, 0.0), tuple(size), 0.0)
 
     def test_grid_spec_sizes(self):
         assert GridSpec((1, 1, 1), (0.0, 0.0, 0.0), 1e-300).num_voxels == 1
@@ -588,6 +604,9 @@ class TestLayoutRasterizeOracle:
         far = OrientedBox((1e6, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 14)   # channel 13
         with pytest.raises(ValueError, match="out of range"):
             layout_rasterize([far], [], 8, 8, 0.4, 4, SCHEMA)
+        top = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 5)   # channel 4 of 4
+        with pytest.raises(ValueError, match="out of range"):
+            layout_rasterize([top], [], 8, 8, 0.4, 4, SCHEMA)
 
 
 class TestApplyOracle:

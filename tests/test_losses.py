@@ -55,7 +55,7 @@ def eighths(rng, rows, classes):
 
 def lovasz_cases():
     rng = np.random.default_rng(20)
-    random = losses.softmax(rng.normal(size=(500, 6)) * 3.0)
+    random = nn.softmax(rng.normal(size=(500, 6)) * 3.0)
     rows = eighths(rng, 40, 4)
     rows_t = rng.integers(0, 4, size=40)
     return {
@@ -67,7 +67,7 @@ def lovasz_cases():
         "single_row": (random[:1], np.array([4])),
         "single_present_class": (random[:50], np.full(50, 2)),
         "one_class": (np.ones((9, 1)), np.zeros(9, dtype=np.int64)),
-        "nd": (losses.softmax(rng.normal(size=(2, 6, 5, 3, 4))),
+        "nd": (nn.softmax(rng.normal(size=(2, 6, 5, 3, 4))),
                rng.integers(0, 4, size=(2, 6, 5, 3))),
     }
 
@@ -79,12 +79,12 @@ TIE_CASES = ["eighths", "half"]
 class TestFocal:
     def test_confident_prediction_vanishes(self):
         logits = np.array([[30.0, 0.0]])
-        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]))
+        loss, _ = losses.focal_loss(nn.softmax(logits), np.array([0]))
         assert loss < 1e-10
 
     def test_half_probability_closed_form(self):
         logits = np.array([[0.0, 0.0]])
-        loss, _ = losses.focal_loss(losses.softmax(logits), np.array([0]))
+        loss, _ = losses.focal_loss(nn.softmax(logits), np.array([0]))
         assert abs(loss - 0.25 * np.log(2.0)) < 1e-12
 
     def test_grad(self):
@@ -93,7 +93,7 @@ class TestFocal:
         targets = rng.integers(0, 4, size=6)
 
         def f(logits):
-            loss, d = losses.focal_loss(losses.softmax(logits), targets)
+            loss, d = losses.focal_loss(nn.softmax(logits), targets)
             return np.asarray(loss), lambda dd: (dd * d,)
 
         assert nn.grad_check(f, [logits], rng=rng) < 1e-6
@@ -108,8 +108,8 @@ class TestFocal:
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(2, 8, 8, 4, 6)) * 3.0
         targets = rng.integers(0, 6, size=(2, 8, 8, 4))
-        loss, d = losses.focal_loss(losses.softmax(logits), targets)
-        loss_r, d_r = losses.focal_loss(losses.softmax(logits.reshape(-1, 6)), targets)
+        loss, d = losses.focal_loss(nn.softmax(logits), targets)
+        loss_r, d_r = losses.focal_loss(nn.softmax(logits.reshape(-1, 6)), targets)
         assert loss == loss_r and d.tobytes() == d_r.tobytes()
 
 
@@ -225,7 +225,7 @@ class TestSoftmax:
         np.random.default_rng(24).normal(size=(2, 4, 3, 5, 6)),
     ], ids=["random", "integer_ties", "one_class", "signed_zeros", "nd"])
     def test_bitwise_equal_to_axis_max_reference(self, logits):
-        p = losses.softmax(logits)
+        p = nn.softmax(logits)
         p_ref = reference_softmax(logits)
         assert p.shape == p_ref.shape and p.tobytes() == p_ref.tobytes()
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,18 @@ def reference_silu(x: np.ndarray):
 def reference_silu_backward(dout: np.ndarray, cache) -> np.ndarray:
     x, s = cache
     return dout * (s * (1.0 + x * (1.0 - s)))
+
+
+def reference_masked_attention(q, k, v, heads: int):
+    """masked_attention with the inline softmax it had before nn.softmax;
+    returns the output and the attention weights."""
+    qh, kh, vh = (nn._split_heads(t, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return nn._merge_heads(attn @ vh), attn
 
 
 def reference_same_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -243,6 +256,17 @@ class TestAttention:
         assert attn.shape == (2, 2, 6, 6)
         assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
         assert np.all(attn > 0.0)
+
+    @pytest.mark.parametrize("shape,heads", [((2, 8, 8, 64), 4), ((2, 8, 8, 8), 2),
+                                             ((3, 5, 12), 3), ((1, 4), 1), ((2, 1, 6), 2)])
+    def test_bitwise_equal_to_the_inline_softmax(self, shape, heads):
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.normal(size=shape) * 4.0 for _ in range(3))
+        for qq in (q, np.zeros(shape), np.round(q)):   # random, all ties, integer ties
+            out, cache = nn.masked_attention(qq, k, v, heads)
+            out_ref, attn_ref = reference_masked_attention(qq, k, v, heads)
+            assert_same_bits(out, out_ref)
+            assert_same_bits(cache[3], attn_ref)
 
     def test_grad(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,8 @@
 import itertools
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,9 @@ from occkit.pipeline import (
     resample_occupancy,
     voxelize_majority,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "occbench"))
+from bench_checks import check_remove  # noqa: E402
 
 SCHEMA = LabelSchema()
 SPEC = GridSpec(dims=(8, 8, 4), origin=(-1.6, -1.6, -0.8), voxel_size=0.4)
@@ -798,6 +803,25 @@ class TestRemoveOracle:
             self.check(cloud, [box])
             assert len(remove_points_in_boxes(cloud, [box])) == 2
 
+    def test_corner_on_the_near_axis_of_a_centre_far_along_the_other(self):
+        # with |cx| and |cy| far apart, points a few ulps past r along the near axis
+        # can pass the rule by its rounding; the reach must still let them through
+        rng = np.random.default_rng(50)
+        past_r = 0
+        for trial in range(400):
+            w, l = rng.uniform(0.2, 5.0, size=2)
+            near, far = float(rng.choice([0.3, -1.7])), float(rng.choice([1e7, -2e8, 1e9]))
+            axis = trial % 2
+            centre = (near, far, 0.0) if axis == 0 else (far, near, 0.0)
+            yaw = float(-np.arctan2(l, w)) if axis == 0 else float(np.arctan2(w, l))
+            box = OrientedBox(centre, (w, l, 1.0), yaw)
+            r = np.hypot(w, l) / 2.0
+            pts = np.tile(np.array(centre), (11, 1))
+            pts[:, axis] += r + np.arange(-3, 8) * np.spacing(r)
+            self.check(LabeledPointCloud(pts, np.full(len(pts), 1001)), [box])
+            past_r += int((box.contains(pts) & (np.abs(pts[:, axis] - near) > r)).sum())
+        assert past_r > 0
+
     def test_corner_of_a_box_wider_than_its_centre_is_far(self):
         # the margin grows with r, so it stays positive where r > 1 + |cx| + |cy|
         for w, l in ((20.0, 20.0), (30.0, 8.0)):
@@ -809,6 +833,23 @@ class TestRemoveOracle:
             cloud = LabeledPointCloud(np.concatenate([inward, outside]), np.full(4, 1001))
             self.check(cloud, [box])
             assert len(remove_points_in_boxes(cloud, [box])) == 1
+
+    def test_fitted_face_points_kept_as_the_benchmark_reference_keeps(self):
+        # fit_asset_to_box puts asset points on a yawed box's faces up to rounding;
+        # removal must decide each of them by the rule the benchmark checks with
+        rng = np.random.default_rng(49)
+        for _ in range(20):
+            box = OrientedBox(tuple(rng.normal(0, 20, size=3)),
+                              tuple(rng.uniform(0.5, 5.0, size=3)),
+                              float(rng.uniform(-np.pi, np.pi)))
+            asset = rng.uniform(-1.0, 1.0, size=(400, 3))
+            on_face = rng.random(asset.shape) < 0.4
+            asset[on_face] = rng.choice([-1.0, 1.0], size=on_face.sum())
+            pts = np.concatenate([fit_asset_to_box(asset, box),
+                                  rng.uniform(-40, 40, size=(200, 3))])
+            cloud = LabeledPointCloud(pts, np.full(len(pts), 4001))
+            got = remove_points_in_boxes(cloud, [box])
+            assert check_remove(pts, [box], got.points) == []
 
     def test_boxes_away_from_every_point(self):
         rng = np.random.default_rng(37)
