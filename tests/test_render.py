@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from occkit.core import (GROUND_BAND_Z, BevLayout, GridSpec, LabelSchema, Se3Pose,
                          SemanticOccupancyGrid)
 from occkit.render import (
+    _CULL_BINS,
+    _CULL_SLACK,
+    _height_limit,
     Camera,
     GeometryBuffers,
     CameraRig,
@@ -492,6 +496,253 @@ class TestRaycastOracle:
                 for max_range in (60.0, 6.0):
                     assert_same_traversal(labels, spec, origins, dirs,
                                           max_range, SCHEMA.free_class)
+
+
+def city(spec, rng, boxes=8):
+    """A ground band and random boxes, some reaching the top layer."""
+    labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+    labels[:, :, :GROUND_BAND_Z] = 11
+    nx, ny, nz = spec.dims
+    for i in range(boxes):
+        lo = rng.integers([0, 0, GROUND_BAND_Z], [nx - 2, ny - 2, nz - 1])
+        hi = lo + rng.integers([1, 1, 1], [9, 9, nz])
+        if i % 3 == 0:
+            hi[2] = nz
+        labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = rng.integers(1, 11)
+    return SemanticOccupancyGrid(spec, labels)
+
+
+def posed_camera(center, yaw=0.0, pitch=0.0, roll=0.0, fx=12.0, width=24, height=16):
+    """A camera at ``center`` looking along ``yaw``, then pitched about its
+    x axis and rolled about its z axis; cx, cy sit on a pixel centre."""
+    c, s = np.cos(pitch), np.sin(pitch)
+    pitch_m = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    c, s = np.cos(roll), np.sin(roll)
+    roll_m = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rot = _look_yaw(yaw).rotation @ pitch_m @ roll_m
+    return Camera(fx=fx, fy=fx, cx=width / 2 + 0.5, cy=height / 2 + 0.5, width=width,
+                  height=height, pose=Se3Pose(rot, np.asarray(center, dtype=float)))
+
+
+def assert_culled_buffers_exact(grid, cam, max_range):
+    """``raycast_buffers``, which stops each ray at its height limit, gives
+    the reference traversal's hits, voxels and classes for ``max_range``
+    alone, bit for bit. Returns the share of rays the limit cuts short."""
+    buf = raycast_buffers(grid, cam, max_range, SCHEMA)
+    dirs = cam.pixel_directions().reshape(-1, 3)
+    origins = np.broadcast_to(cam.center(), dirs.shape)
+    hit, iv, _ = reference_raycast_grid(grid.labels, grid.spec, origins, dirs, max_range,
+                                        SCHEMA.free_class)
+    assert np.array_equal(buf.hit_mask.ravel(), hit)
+    coordinate = np.zeros((len(hit), 3))
+    coordinate[hit] = grid.spec.index_to_center(iv[hit])
+    assert buf.coordinate.reshape(-1, 3).tobytes() == coordinate.tobytes()
+    semantic = np.full(len(hit), SCHEMA.free_class, dtype=np.int64)
+    semantic[hit] = grid.labels[tuple(iv[hit].T)]
+    assert np.array_equal(buf.semantic.ravel(), semantic)
+    limit = _height_limit(grid.labels, grid.spec, cam.center(), dirs, max_range,
+                          SCHEMA.free_class)
+    return float(np.mean(limit < max_range))
+
+
+class TestHeightCull:
+    """Cutting each ray at its height limit changes no buffer bit."""
+
+    SPEC = GridSpec(dims=(40, 40, 12), origin=(-8.0, -8.0, -2.0), voxel_size=0.4)
+    RANGES = (0.4, 6.0, np.inf)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 5.0])
+    def test_pitched_and_rolled_cameras(self, scale):
+        spec = GridSpec(self.SPEC.dims, tuple(np.multiply(self.SPEC.origin, scale)),
+                        self.SPEC.voxel_size * scale)
+        rng = np.random.default_rng(2501)
+        grid = city(spec, rng)
+        cut = []
+        for _ in range(8):
+            center = np.array([*rng.uniform(-6.0, 6.0, 2), rng.uniform(-1.0, 2.0)]) * scale
+            cam = posed_camera(center, *rng.uniform(-np.pi, np.pi, 3) * [1, 0.5, 1])
+            cut += [assert_culled_buffers_exact(grid, cam, r * scale) for r in self.RANGES]
+        assert max(cut) > 0.3
+
+    @pytest.mark.parametrize("where, center, pitch", [
+        ("above all geometry", (0.3, -0.7, 3.3), -0.6),
+        ("above all geometry, level", (0.3, -0.7, 3.3), 0.0),
+        ("inside a building", (2.1, 1.9, 0.3), 0.2),
+        ("in the ground band", (-1.3, 2.2, -1.7), 0.3),
+        ("below the grid", (-1.3, 2.2, -3.0), 0.5),
+        ("outside the grid", (-12.0, 0.9, 0.5), 0.0),
+        ("outside the grid, above it", (-11.0, -9.5, 4.0), -0.3),
+    ])
+    def test_camera_positions(self, where, center, pitch):
+        rng = np.random.default_rng(2502)
+        grid = city(self.SPEC, rng)
+        labels = grid.labels.copy()
+        labels[24:27, 23:26, :8] = 3        # the building around (2.1, 1.9, 0.3)
+        grid = SemanticOccupancyGrid(self.SPEC, labels)
+        assert labels[25, 24, 5] == 3
+        for yaw in (0.4, 2.0, -2.6):
+            cam = posed_camera(center, yaw if center[0] > -10 else yaw / 4, pitch)
+            for max_range in self.RANGES:
+                assert_culled_buffers_exact(grid, cam, max_range)
+
+    def test_far_cameras(self):
+        """At 3 km the bins' chords still leave a cull; at 20 km, where the
+        dilation radius would pass the grid's side, every ray keeps its range."""
+        grid = city(self.SPEC, np.random.default_rng(2503))
+        near = posed_camera((-3e3, 1.1, 1.0), 0.0, 0.0, fx=3e3)
+        assert assert_culled_buffers_exact(grid, near, np.inf) > 0.0
+        far = posed_camera((-2e4, 1.1, 1.0), 0.0, 0.0, fx=2e4)
+        assert assert_culled_buffers_exact(grid, far, np.inf) == 0.0
+        assert raycast_buffers(grid, far, np.inf, SCHEMA).hit_mask.any()
+
+    @pytest.mark.parametrize("up", [1.0, -1.0])
+    def test_vertical_and_near_vertical_rays(self, up):
+        """Straight up under a roof and straight down; at fx = 1e8 the slopes
+        pass the int64 cap, and the roof above the camera must stay in range."""
+        labels = city(self.SPEC, np.random.default_rng(2504)).labels
+        labels[:, :, 10] = 3
+        grid = SemanticOccupancyGrid(self.SPEC, labels)
+        c, s = np.cos(0.3), np.sin(0.3)
+        right, fwd = np.array([c, s, 0.0]), np.array([0.0, 0.0, up])
+        rot = np.stack([right, np.cross(fwd, right), fwd], axis=1)
+        for fx in (12.0, 1e4, 1e8):
+            cam = posed_camera((0.5, -1.1, 1.3), fx=fx)
+            cam = Camera(fx=fx, fy=fx, cx=cam.cx, cy=cam.cy, width=cam.width,
+                         height=cam.height, pose=Se3Pose(rot, cam.center()))
+            principal = cam.pixel_directions()[cam.height // 2, cam.width // 2]
+            assert principal[0] == principal[1] == 0.0
+            for max_range in self.RANGES:
+                assert_culled_buffers_exact(grid, cam, max_range)
+
+    def test_empty_and_full_grids(self):
+        for fill in (SCHEMA.free_class, 4):
+            grid = SemanticOccupancyGrid(self.SPEC, np.full(self.SPEC.dims, fill, np.uint8))
+            for center in ((0.1, 0.2, 0.3), (-10.0, 0.3, 6.0)):
+                for pitch in (-0.7, 0.0, 0.7):
+                    cam = posed_camera(center, 0.5, pitch)
+                    for max_range in self.RANGES:
+                        assert_culled_buffers_exact(grid, cam, max_range)
+        # over empty columns every rising ray is above everything from the start
+        cam = posed_camera((0.1, 0.2, 0.3), 0.5, 0.7)
+        dirs = cam.pixel_directions().reshape(-1, 3)
+        assert np.all(dirs[:, 2] > 0)
+        assert np.all(_height_limit(np.full(self.SPEC.dims, SCHEMA.free_class), self.SPEC,
+                                    cam.center(), dirs, np.inf, SCHEMA.free_class) == 0.0)
+
+    def test_a_camera_exactly_slack_above_the_ground(self):
+        """The camera's height equals the first sample's ``H``, so the
+        sample's rise is exactly 0 and its ``rho_lo`` is 0."""
+        spec = GridSpec(dims=(32, 32, 10), origin=(-8.0, -8.0, -1.0), voxel_size=0.5)
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[:, :, :GROUND_BAND_Z] = 11
+        grid = SemanticOccupancyGrid(spec, labels)
+        z = spec.origin[2] + (GROUND_BAND_Z + _CULL_SLACK) * spec.voxel_size
+        for pitch in (0.0, -0.3, 0.3):
+            cam = posed_camera((0.3, 0.1, z), 0.7, pitch)
+            for max_range in self.RANGES:
+                assert_culled_buffers_exact(grid, cam, max_range)
+
+    def test_a_top_layer_voxel_at_the_edge_grazed(self):
+        """One voxel in the top layer at the grid's +x edge; narrow cameras
+        aim at its top edges and corners, so rays pass it by fractions of a
+        voxel on every side."""
+        spec = self.SPEC
+        nx, ny, nz = spec.dims
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[nx - 1, 17, nz - 1] = 6
+        grid = SemanticOccupancyGrid(spec, labels)
+        g0, v = np.asarray(spec.origin), spec.voxel_size
+        hits = 0
+        for corner in ((nx - 1, 17, nz), (nx, 18, nz), (nx - 1, 18, nz - 1), (nx - 0.5, 17.5, nz)):
+            target = g0 + np.asarray(corner) * v
+            for center in ((0.3, 0.1, 0.2), (-4.1, 6.3, 3.9), (2.0, -5.0, -1.5)):
+                d = target - center
+                yaw = np.arctan2(d[1], d[0])
+                pitch = np.arctan2(d[2], np.hypot(d[0], d[1]))
+                cam = posed_camera(center, yaw, pitch, fx=300.0)
+                for max_range in (np.inf, float(np.linalg.norm(d))):
+                    assert_culled_buffers_exact(grid, cam, max_range)
+                    hits += int(raycast_buffers(grid, cam, max_range, SCHEMA).hit_mask.sum())
+        assert hits > 0
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_rays_that_stray_from_their_bin_line(self, side):
+        """A narrow camera's rays all fall in the bin from 0 to ``side dphi``,
+        near its outer edge. The bin's centre line stays in row 20 to the
+        grid's far side; the rays cross into row 20 + side, a wall, at x = 4 m.
+        Only the dilation brings the wall into the profile."""
+        spec = self.SPEC
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[:, :, :GROUND_BAND_Z] = 11
+        labels[10:, 20 + side, :] = 5
+        grid = SemanticOccupancyGrid(spec, labels)
+        yaw = side * 0.95 * 2 * np.pi / _CULL_BINS
+        for pitch in (0.0, 0.03, -0.03):
+            cam = posed_camera((-7.9, 0.2 + side * 0.13, 0.5), yaw, pitch, fx=1e5)
+            for max_range in self.RANGES:
+                assert_culled_buffers_exact(grid, cam, max_range)
+            buf = raycast_buffers(grid, cam, np.inf, SCHEMA)
+            assert np.all(buf.semantic[:, 12 - 12 * (side < 0):24 - 12 * (side < 0)] == 5)
+
+    def test_origins_on_column_boundaries(self):
+        spec = GridSpec(dims=(32, 32, 10), origin=(-8.0, -8.0, -1.0), voxel_size=0.5)
+        grid = city(spec, np.random.default_rng(2505))
+        for i, j, k in ((16, 16, 4), (3, 29, 6), (0, 11, 9), (32, 32, 10)):
+            center = np.asarray(spec.origin) + np.array([i, j, k]) * spec.voxel_size
+            for yaw in (0.0, np.pi / 4, np.pi / 2, -3 * np.pi / 4):
+                for pitch in (0.0, -0.4):
+                    cam = posed_camera(center, yaw, pitch)
+                    for max_range in self.RANGES:
+                        assert_culled_buffers_exact(grid, cam, max_range)
+
+    def test_a_level_rig_cuts_most_rays(self):
+        """Over a ground band and boxes, at least 30% of a level 24-camera
+        rig's rays get a limit below ``max_range``: the cull is on."""
+        spec = GridSpec.standard()
+        grid = city(spec, np.random.default_rng(2506), boxes=30)
+        z = spec.origin[2] + GROUND_BAND_Z * spec.voxel_size + 1.5
+        rig = densify_rig(densify_rig(standard_rig(fx=24.0, width=48, height=32, z=z), 1), 1)
+        cut = [assert_culled_buffers_exact(grid, cam, 60.0) for cam in rig.cameras[::6]]
+        limited = rays = 0
+        for cam in rig.cameras:
+            dirs = cam.pixel_directions().reshape(-1, 3)
+            limit = _height_limit(grid.labels, spec, cam.center(), dirs, 60.0,
+                                  SCHEMA.free_class)
+            limited += int(np.sum(limit < 60.0))
+            rays += len(dirs)
+        assert limited >= 0.3 * rays and min(cut) > 0.0
+
+    def test_one_rig_call_peaks_at_most_9_mb(self):
+        spec = GridSpec.standard()
+        grid = city(spec, np.random.default_rng(2507), boxes=30)
+        z = spec.origin[2] + GROUND_BAND_Z * spec.voxel_size + 1.5
+        cam = standard_rig(fx=80.0, width=160, height=90, z=z).cameras[1]
+        raycast_buffers(grid, cam, 60.0, SCHEMA)
+        tracemalloc.start()
+        try:
+            raycast_buffers(grid, cam, 60.0, SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MB"
+
+
+def test_per_ray_range_equals_one_call_per_ray():
+    spec = GridSpec(dims=(12, 10, 6), origin=(-2.4, -2.0, -1.2), voxel_size=0.4)
+    rng = np.random.default_rng(2508)
+    labels = np.where(rng.random(spec.dims) < 0.1, rng.integers(0, 5, spec.dims), 9)
+    n = 300
+    origins = rng.uniform(-3.5, 3.5, (n, 3))
+    dirs = rng.normal(size=(n, 3))
+    ranges = rng.choice([0.0, 0.4, 1.7, 3.1, 8.0, np.inf], n) * rng.uniform(0.5, 1.5, n)
+    hit, iv = raycast_grid(labels, spec, origins, dirs, ranges, 9)
+    assert 0 < hit.sum() < n
+    for i in range(n):
+        one = raycast_grid(labels, spec, origins[i:i + 1], dirs[i:i + 1], float(ranges[i]), 9)
+        assert one[0][0] == hit[i] and np.array_equal(one[1][0], iv[i])
+    for bad in (ranges[:-1], ranges[:, None], ranges[:1], np.append(ranges, 1.0)):
+        with pytest.raises(ValueError, match="max_range"):
+            raycast_grid(labels, spec, origins, dirs, bad, 9)
 
 
 def _look_yaw(yaw: float) -> Se3Pose:
