@@ -10,7 +10,7 @@ Conventions used throughout the package:
 * An oriented box's ``size = (width, length, height)`` maps to the box
   frame axes (x, y, z); ``yaw`` rotates the box frame about world +z.
 * BEV layouts are ego-centered: cell (i, j) covers the same metric
-  footprint as grid column (i, j) when widths/resolutions agree.
+  footprint as grid column (i, j) when :meth:`BevLayout.matches_grid` holds.
 """
 
 from __future__ import annotations
@@ -244,7 +244,8 @@ class PanopticVoxelGrid(_LabelGrid):
 
 @dataclass(frozen=True)
 class Se3Pose:
-    """Rigid transform: x_out = rotation @ x_in + translation."""
+    """Rigid transform ``x_out = R x_in + t``. The package's one rotation rule, :meth:`rotate`,
+    gives output axis ``a`` as ``(x*R[a, 0] + y*R[a, 1]) + z*R[a, 2]``; ``t[a]`` comes after."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -256,12 +257,12 @@ class Se3Pose:
             raise ValueError("rotation must be 3x3 and translation 3-vector")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise ValueError("pose must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
+        if np.max(np.abs(np.array(self.rotate(*r.T)) - np.eye(3))) > 1e-9:  # R R^T
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
     @classmethod
     def identity(cls) -> "Se3Pose":
@@ -277,17 +278,21 @@ class Se3Pose:
         r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return cls(r, np.asarray(t, dtype=np.float64))
 
+    def rotate(self, x, y, z) -> list[np.ndarray]:
+        """The rule, elementwise over broadcastable coordinate arrays (never BLAS)."""
+        return [(x * r[0] + y * r[1]) + z * r[2] for r in self.rotation]
+
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """``points @ rotation.T + translation`` for points of shape (..., 3); the
-        translation is added a column at a time, as a (3,) row broadcasts slowly."""
-        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
-        for a in range(3):
-            out[..., a] += self.translation[a]
-        return out
+        """``R p + t`` for points of shape (..., 3)."""
+        x, y, z = np.moveaxis(np.asarray(points, dtype=np.float64), -1, 0)
+        return np.stack([c + t for c, t in zip(self.rotate(x, y, z), self.translation)], -1)
 
     def inverse(self) -> "Se3Pose":
-        rt = self.rotation.T
-        return Se3Pose(rt, -rt @ self.translation)
+        inv = Se3Pose(self.rotation.T, np.zeros(3))  # R^T p + R^T (-t): one pose
+        object.__setattr__(inv, "translation", np.array(inv.rotate(*-self.translation)))
+        if not np.all(np.isfinite(inv.translation)):  # R^T t can overflow where t does not
+            raise ValueError("pose must be finite")
+        return inv
 
 
 @dataclass(frozen=True)
@@ -389,8 +394,11 @@ class BevLayout:
         return (self.bits & np.uint16(1 << channel)) != 0
 
     def matches_grid(self, spec: GridSpec) -> bool:
+        """Same size, resolution and xy origin (that within 1e-6 of the half extent)."""
         return (self.width == spec.dims[0] and self.height == spec.dims[1]
-                and abs(self.resolution - spec.voxel_size) <= _RESOLUTION_TOL)
+                and abs(self.resolution - spec.voxel_size) <= _RESOLUTION_TOL
+                and all(abs(g - o) <= -_RESOLUTION_TOL * o
+                        for g, o in zip(spec.origin, self.origin_xy)))
 
 
 def points_in_polygon(points_xy: np.ndarray, polygon: np.ndarray) -> np.ndarray:

@@ -255,31 +255,23 @@ def resample_occupancy(
 
     Output voxel centers are pulled back through the inverse transform
     and read the containing input voxel; samples leaving the grid become
-    free. Slabs of whole x-planes, up to 16384 voxels (at least one plane),
-    fill one reused buffer from per-axis centre rows; each source index is
-    floored in place, clipped per axis to [-1, n] and read by one ``take``
-    from a copy of the input framed by one free voxel. Float operations are
-    unchanged. Memory: output + one slab + one framed copy of the input. The
-    output's labels keep the input's dtype.
+    free. Per slab of whole x-planes (up to 16384 voxels, at least one),
+    :meth:`Se3Pose.rotate` turns the per-axis centre rows broadcast over the
+    slab, with the bits of :meth:`Se3Pose.apply`. Each index is floored,
+    clipped to [-1, n] and read by one ``take`` from the input framed by one
+    free voxel. The output's labels keep the input's dtype.
     """
     spec = grid.spec
     nx, ny, nz = dims = spec.dims
-    inverse, origin = shift.transform.inverse(), np.asarray(spec.origin)
-    rows = [origin[a] + (np.arange(n) + 0.5) * spec.voxel_size for a, n in enumerate(dims)]
+    inverse = shift.transform.inverse()
+    rows = [o + (np.arange(n) + 0.5) * spec.voxel_size for o, n in zip(spec.origin, dims)]
     planes = min(nx, max(1, _SLAB_VOXELS // (ny * nz)))
-    slab = np.stack(np.broadcast_arrays(rows[0][:planes, None, None], rows[1][:, None],
-                                        rows[2]), axis=-1)
     framed = np.pad(grid.labels, 1, constant_values=schema.free_class)
-    stride = np.array([(ny + 2) * (nz + 2), nz + 2, 1.0])  # exact flat indices in float64
-    # per-axis constants tiled along a z column: rows of 3 broadcast slowly
-    origin_z, dims_z = np.tile(origin, nz), np.tile(dims, nz)
-    out = np.empty(spec.num_voxels, dtype=grid.labels.dtype)
+    strides = ((ny + 2) * (nz + 2), nz + 2, 1)
+    out = np.empty(dims, dtype=grid.labels.dtype)
     for x0 in range(0, nx, planes):
-        x1 = min(nx, x0 + planes)
-        slab[:x1 - x0, ..., 0] = rows[0][x0:x1, None, None]
-        q = inverse.apply(slab[:x1 - x0].reshape(-1, 3)).reshape(-1, 3 * nz)
-        np.divide(np.subtract(q, origin_z, out=q), spec.voxel_size, out=q)
-        np.clip(np.floor(q, out=q), -1.0, dims_z, out=q)
-        src = (q.reshape(-1, 3) @ stride + stride.sum()).astype(np.intp)
-        np.take(framed.reshape(-1), src, out=out[x0 * ny * nz:x1 * ny * nz])
-    return SemanticOccupancyGrid(spec, out.reshape(spec.dims))
+        q = inverse.rotate(rows[0][x0:x0 + planes, None, None], rows[1][:, None], rows[2])
+        src = sum((np.clip(np.floor((c + t - o) / spec.voxel_size), -1, n) + 1) * s
+                  for c, t, o, n, s in zip(q, inverse.translation, spec.origin, dims, strides))
+        np.take(framed.reshape(-1), src.astype(np.intp), out=out[x0:x0 + planes])
+    return SemanticOccupancyGrid(spec, out)

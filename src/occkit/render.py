@@ -68,12 +68,12 @@ class Camera:
         return self.pose.translation
 
     def pixel_directions(self) -> np.ndarray:
-        """Unit world-space ray directions through all pixel centers, (H, W, 3)."""
+        """Unit world-space ray directions through all pixel centers, (H, W, 3): the
+        unit camera-frame direction turned by the pose's rule, :meth:`Se3Pose.rotate`."""
         u = (np.arange(self.width) + 0.5 - self.cx) / self.fx
-        v = (np.arange(self.height) + 0.5 - self.cy) / self.fy
-        uu, vv = np.meshgrid(u, v, indexing="xy")
-        n = np.sqrt(uu * uu + vv * vv + 1.0)  # the bits of np.linalg.norm over (u, v, 1)
-        return np.stack([uu / n, vv / n, 1.0 / n], axis=-1) @ self.pose.rotation.T
+        v = (np.arange(self.height)[:, None] + 0.5 - self.cy) / self.fy
+        n = np.sqrt(u * u + v * v + 1.0)  # the bits of np.linalg.norm over (u, v, 1)
+        return np.stack(self.pose.rotate(u / n, v / n, 1.0 / n), axis=-1)
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World points -> continuous pixel coords (u, v) and camera depth z."""

@@ -283,11 +283,43 @@ class TestLayoutOverwrite:
         with pytest.raises(ValueError):
             layout_overwrite(grid, bad, [OverwriteRule(2, 13)])
 
+    def test_off_centre_grid_is_rejected(self):
+        # the same size and resolution, but cell (i, j) would not cover column (i, j)
+        _, layout = self.make()
+        for origin in ((0.0, 0.0, 0.0), (-3.2, -3.0, 0.0), (-3.2 + 1e-5, -3.2, 0.0)):
+            grid = SemanticOccupancyGrid(GridSpec((16, 16, 4), origin, 0.4),
+                                         np.full((16, 16, 4), 11, dtype=np.uint8))
+            assert not layout.matches_grid(grid.spec)
+            with pytest.raises(ValueError):
+                layout_overwrite(grid, layout, [OverwriteRule(2, 13)])
+        # within 1e-6 of the 3.2 m half extent, as float32 header rounding is; z is free
+        for origin in ((float(np.float32(-3.2)), -3.2, 7.0), (-3.2, -3.2 - 2e-6, 0.0)):
+            assert layout.matches_grid(GridSpec((16, 16, 4), origin, 0.4))
+
+    def test_grid_match_holds_at_its_tolerances(self):
+        # resolution 2e-6 against voxel size 1e-6: 1e-6 apart, at the bound
+        layout = BevLayout(2, 2, 2e-6, 1)
+        assert layout.matches_grid(GridSpec((2, 2, 1), (*layout.origin_xy, 0.0), 1e-6))
+        # half extent h = 1e6 / 2**20, and an origin exactly 1e-6 * h = 2**-20 off
+        h = 1e6 / 2**20
+        layout = BevLayout(2, 2, h, 1)
+        for x, ok in ((2**-20 - h, True), (np.nextafter(2**-20 - h, 1.0), False)):
+            assert layout.matches_grid(GridSpec((2, 2, 1), (x, -h, 0.0), h)) == ok
+
 
 class TestPoseAndBox:
     def test_pose_validation(self):
         with pytest.raises(ValueError):
             Se3Pose(np.eye(3) * 1.001, np.zeros(3))
+        # R R^T - I is exactly 1e-9 off the diagonal: at the bound, accepted
+        r = np.array([[1.0, 0.0, 0.0], [1e-9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        Se3Pose(r, np.zeros(3))
+        r[1, 0] = np.nextafter(1e-9, 1.0)
+        with pytest.raises(ValueError, match="orthonormal"):
+            Se3Pose(r, np.zeros(3))
+        # R^T t overflows although t is finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            Se3Pose.from_yaw(np.pi / 4, (1.7e308, 1.7e308, 0.0)).inverse()
 
     def test_compose_inverse(self):
         rng = np.random.default_rng(11)
@@ -538,8 +570,13 @@ def reference_layout_rasterize(boxes, polygons, width, height, resolution, chann
 
 
 def reference_apply(pose, points):
-    """The (3,) row broadcast."""
-    return np.asarray(points, dtype=np.float64) @ pose.rotation.T + pose.translation
+    """The stated rule, a point and an axis at a time in Python floats: output
+    axis ``a`` is ``((x*R[a, 0] + y*R[a, 1]) + z*R[a, 2]) + t[a]``."""
+    pts = np.asarray(points, dtype=np.float64)
+    r, t = pose.rotation.tolist(), pose.translation.tolist()
+    out = [[(x * ra[0] + y * ra[1]) + z * ra[2] + ta for ra, ta in zip(r, t)]
+           for x, y, z in pts.reshape(-1, 3).tolist()]
+    return np.array(out, dtype=np.float64).reshape(pts.shape)
 
 
 def reference_validate(grid, schema):

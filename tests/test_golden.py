@@ -7,17 +7,31 @@ output, so they usually move with it). The scene comes from the
 benchmark's ``bench_scene.build_scene``, imported as it is.
 
 A change that moves an output on purpose updates that stage's constant
-and says which and why. The VAE steps run on one BLAS thread or two with
-the same digest on the host these constants were recorded on.
+and says which and why.
+
+Every stage but ``vae_steps`` is host-independent: no geometry goes through
+BLAS (``Se3Pose.rotate`` is the one 3x3 product), and the profile test below
+requires each of their digests under other OpenBLAS kernels and without
+numpy's AVX-512 paths. ``vae_steps`` goes through BLAS GEMMs and numpy's
+``exp`` and ``log``, which round by kernel and SIMD path: its digest holds on
+the host it was recorded on (AVX-512, OpenBLAS's SkylakeX kernel), on one
+BLAS thread or two.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import occkit
 from occkit import core, fileio, nn, pipeline, render, vae
 from occkit.core import GridSpec, LabelSchema, SemanticOccupancyGrid
+
+from test_nn import cpu_flags
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "occbench"))
 from bench_checks import digest  # noqa: E402
@@ -29,15 +43,19 @@ CAMERA = dict(fx=8.0, width=16, height=9, z=-1.6 + core.GROUND_BAND_Z * 0.4 + 1.
 VAE = vae.VaeConfig(grid_dims=(8, 8, 8), num_classes=LabelSchema().num_classes,
                     hidden=(8, 8, 8), spatial_downsample=2, attn_heads=2)
 
+# remove, cameras6 and cameras24 moved once when Se3Pose.apply (which places the
+# scene's asset points) and Camera.pixel_directions left BLAS for the stated
+# rotation rule; the new digests are the ones the BLAS code gave under the
+# OpenBLAS Sandybridge kernel, which has no FMA
 GOLDEN = {
-    "remove": "f547f213dd1a3df2",
+    "remove": "68c204cf1529f29e",
     "voxelize": "d244ccef7273afaf",
     "knn": "3e03cb7de961a4a9",
     "resample": "b62a5938ce4967f7",
     "layout_overwrite": "e74e308dc5382e9c",
     "occg_round_trip": "8c968f6d7a4eb47a",
-    "cameras6": "5f3df01d5cb471f6",
-    "cameras24": "77f11284ad17d4eb",
+    "cameras6": "7c8f32b5940c3d6f",
+    "cameras24": "5c1abd6d6c9d959d",
     "vae_steps": "d6faa827fcce8253",
 }
 
@@ -92,3 +110,34 @@ def test_every_stage_output_matches_its_golden_digest(tmp_path):
     got = stage_digests(tmp_path)
     moved = [stage for stage in GOLDEN if got[stage] != GOLDEN[stage]]
     assert moved == [], f"first stage that moved: {moved[0]}; digests now {got}"
+
+
+# (CPU flags the profile needs, child-process environment)
+PROFILES = {
+    "openblas_haswell": ({"avx2", "fma"}, {"OPENBLAS_CORETYPE": "Haswell"}),
+    "openblas_sandybridge": ({"avx"}, {"OPENBLAS_CORETYPE": "Sandybridge"}),
+    # only a host with AVX-512 has AVX-512 paths to turn off
+    "numpy_without_avx512": ({"avx512f"}, {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_every_stage_but_the_vae_holds_under_other_numeric_profiles(profile, tmp_path):
+    """The golden stages, rerun in a child interpreter under another OpenBLAS
+    kernel or without numpy's AVX-512 paths. Every stage but ``vae_steps`` must
+    keep its digest; ``vae_steps`` stays host-dependent (see the module notes)."""
+    needs, env = PROFILES[profile]
+    if not needs <= cpu_flags():
+        pytest.skip(f"the CPU lacks {sorted(needs - cpu_flags())}")
+    here = Path(__file__).resolve().parent
+    paths = [str(Path(occkit.__file__).resolve().parents[1]), str(here)]
+    code = ("import json, pathlib, sys, test_golden; print(json.dumps("
+            "test_golden.stage_digests(pathlib.Path(sys.argv[1]))))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=here,
+                          env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(paths)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    got = json.loads(done.stdout.splitlines()[-1])
+    moved = [stage for stage in GOLDEN if stage != "vae_steps" and got[stage] != GOLDEN[stage]]
+    assert moved == [], f"stages that moved under {profile}: {moved}; digests now {got}"

@@ -156,6 +156,17 @@ class TestLinear:
         assert nn.grad_check(f, [x, w, b], rng=rng) < 1e-6
 
 
+def test_grad_check_flags_a_wrong_backward():
+    # a backward that doubles the gradient is off by half the larger of the two
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(4, 3))
+
+    def f(x):
+        return 3.0 * x, lambda d: (6.0 * d,)
+
+    assert abs(nn.grad_check(f, [x], rng=rng) - 0.5) < 1e-6
+
+
 def test_layernorm_grad():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 5))
@@ -509,6 +520,14 @@ def test_embedding_backward():
         for j in range(2):
             expect[ids[i, j]] += dout[i, j]
     assert np.allclose(dtable, expect, atol=1e-15)
+
+
+def test_embedding_id_at_the_row_count_is_out_of_range():
+    table = np.zeros((5, 3))
+    nn.embedding(table, np.array([0, 4]))
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            nn.embedding(table, np.array([0, bad]))
 
 
 def test_embedding_backward_matches_reference_bitwise():

@@ -140,14 +140,16 @@ def embedding(cam):
 
 
 def reference_pixel_directions(cam: Camera) -> np.ndarray:
-    """Reference directions: ``Camera.pixel_directions`` as it was, normalised
-    by ``np.linalg.norm`` over a length-3 last axis; it must give the same bits."""
+    """Reference directions: normalised by ``np.linalg.norm`` over a length-3
+    last axis, then turned by the stated rule, output axis ``a`` being
+    ``(x*R[a, 0] + y*R[a, 1]) + z*R[a, 2]``; it must give the same bits."""
     u = (np.arange(cam.width) + 0.5 - cam.cx) / cam.fx
     v = (np.arange(cam.height) + 0.5 - cam.cy) / cam.fy
     uu, vv = np.meshgrid(u, v, indexing="xy")
     d_cam = np.stack([uu, vv, np.ones_like(uu)], axis=-1)
     d_cam /= np.linalg.norm(d_cam, axis=-1, keepdims=True)
-    return d_cam @ cam.pose.rotation.T
+    x, y, z, r = d_cam[..., 0], d_cam[..., 1], d_cam[..., 2], cam.pose.rotation
+    return np.stack([(x * r[a, 0] + y * r[a, 1]) + z * r[a, 2] for a in range(3)], axis=-1)
 
 
 def random_rotation(rng) -> np.ndarray:

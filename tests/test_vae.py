@@ -171,6 +171,16 @@ def test_config_accepts_the_attention_width():
     init_vae_params(cfg, np.random.default_rng(0))
 
 
+def test_config_accepts_a_zero_kl_weight():
+    assert dataclasses.replace(CFG, kl_weight=0.0).kl_weight == 0.0
+
+
+def test_stages_beyond_the_hidden_widths_reuse_the_last():
+    cfg = VaeConfig(grid_dims=(8, 8, 2), spatial_downsample=8, hidden=(4, 6), attn_heads=2)
+    assert vae._stage_widths(cfg) == [4, 6, 6, 6]
+    init_vae_params(cfg, np.random.default_rng(0))
+
+
 def test_train_step_loss_gradient_matches_finite_differences():
     # at the default 1e-4 a wrong KL gradient stays below the bound
     cfg = dataclasses.replace(CFG, kl_weight=0.1)
