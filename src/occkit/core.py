@@ -215,7 +215,7 @@ class PanopticVoxelGrid(_LabelGrid):
         panoptic labels, by ``take`` of an intp index made one 65,536-voxel slab
         at a time into one output, so no transient spans the grid."""
         panoptic_decode(np.array([self.labels.min(), self.labels.max()]))  # range check
-        s, i = np.divmod(np.arange(PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX + 1), INSTANCE_BASE)
+        s, i = panoptic_decode(np.arange(PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX + 1))
         table, src = table_of(s, i), self.labels.reshape(-1)
         dst = np.empty(src.shape, table.dtype)
         for a in range(0, src.size, 1 << 16):

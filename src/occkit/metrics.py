@@ -55,7 +55,6 @@ def per_class_iou(matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
 def miou(matrix: ConfusionMatrix, schema: LabelSchema) -> float:
     """Mean IoU over non-free classes present in gt or prediction."""
     iou, present = per_class_iou(matrix)
-    present = present.copy()
     present[schema.free_class] = False
     if not present.any():
         return 0.0

@@ -147,14 +147,16 @@ def raycast_grid(
       visits the voxels between.
     * Range: a voxel counts when the ray enters it at ``t <= max_range``, a
       scalar or one value per ray, shape (N,) (another shape: ``ValueError``).
-    * Rays need finite origins and finite, non-zero directions; others
-      raise ``ValueError``.
+    * Rays need finite origins and finite, non-zero directions, and the
+      labels need shape ``spec.dims``; others raise ``ValueError``.
 
     Results are bit-identical to the reference traversal kept in the tests.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     n = len(origins)
+    if np.shape(labels) != tuple(spec.dims):
+        raise ValueError(f"labels shape {np.shape(labels)} != dims {spec.dims}")
     t_lim = np.asarray(max_range, dtype=np.float64)
     if t_lim.shape not in ((), (n,)):
         raise ValueError(f"max_range must be a scalar or have shape ({n},), not {t_lim.shape}")

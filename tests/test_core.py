@@ -320,6 +320,9 @@ class TestPoseAndBox:
         # R^T t overflows although t is finite
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             Se3Pose.from_yaw(np.pi / 4, (1.7e308, 1.7e308, 0.0)).inverse()
+        # a mirror is orthonormal, but no rotation
+        with pytest.raises(ValueError, match=r"determinant is not \+1"):
+            Se3Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
     def test_compose_inverse(self):
         rng = np.random.default_rng(11)
@@ -435,6 +438,8 @@ class TestBoundaries:
             LabelSchema(layout_channel_map={SCHEMA.num_classes: 0})
         with pytest.raises(ValueError, match="layout-mapped class"):
             LabelSchema(layout_channel_map={-1: 0})
+        with pytest.raises(ValueError, match="negative layout channel for class 1"):
+            LabelSchema(layout_channel_map={1: -1})
 
     def test_panoptic_decode_range_ends(self):
         assert panoptic_decode(17999) == (17, 999)
@@ -445,6 +450,14 @@ class TestBoundaries:
             with pytest.raises(ValueError, match="outside"):
                 panoptic_decode(np.array([4007, bad]))
 
+    def test_lookup_reaches_both_ends_of_the_panoptic_range(self):
+        spec = GridSpec(dims=(2, 1, 1), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
+        labels = np.array([PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX]).reshape(spec.dims)
+        grid = PanopticVoxelGrid(spec, labels)
+        assert grid.to_semantic(SCHEMA).labels.reshape(-1).tolist() == [1, SCHEMA.free_class]
+        with pytest.raises(ValueError, match="stuff/free voxel with nonzero instance id"):
+            grid.validate(SCHEMA)
+
     def test_semantic_validate_on_a_filled_grid(self):
         spec = GridSpec(dims=(2, 2, 1), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
         labels = np.array([0, 1, 7, SCHEMA.num_classes - 1]).reshape(spec.dims)
@@ -453,6 +466,14 @@ class TestBoundaries:
             SemanticOccupancyGrid(spec, labels - 1).validate(SCHEMA)
         with pytest.raises(ValueError, match="num_classes"):
             SemanticOccupancyGrid(spec, labels + 1).validate(SCHEMA)
+
+    @pytest.mark.parametrize("grid", [SemanticOccupancyGrid, PanopticVoxelGrid])
+    def test_grid_labels_must_have_the_spec_dims(self, grid):
+        spec = GridSpec(dims=(4, 3, 2), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
+        assert grid(spec, np.zeros((4, 3, 2), dtype=np.uint16)).labels.shape == (4, 3, 2)
+        for shape, text in (((1, 3, 2), "1, 3, 2"), ((2, 3, 4), "2, 3, 4"), ((24,), "24,")):
+            with pytest.raises(ValueError, match=rf"labels shape \({text}\) != dims \(4, 3, 2\)"):
+                grid(spec, np.zeros(shape, dtype=np.uint16))
 
     def test_channel_mask_range(self):
         layout = BevLayout(3, 2, 0.5, 3)
@@ -525,6 +546,18 @@ class TestBoundaries:
                 BevLayout(2, 2, 0.4, 3, np.array([[0, 1], [bad, 2]]))
         with pytest.raises(ValueError, match="integer dtype"):
             BevLayout(2, 2, 0.4, 3, np.ones((2, 2)))
+
+    def test_layout_bits_must_be_width_by_height(self):
+        assert BevLayout(3, 2, 0.4, 1, np.ones((3, 2), dtype=np.uint8)).bits.shape == (3, 2)
+        for shape in ((2, 3), (3, 2, 1), (6,)):
+            with pytest.raises(ValueError, match="bits shape mismatch"):
+                BevLayout(3, 2, 0.4, 1, np.ones(shape, dtype=np.uint8))
+
+    def test_overwrite_rule_masks(self):
+        assert [OverwriteRule(0, 4, m).mask for m in ("full", "edge")] == ["full", "edge"]
+        for bad in ("ring", "Full", ""):
+            with pytest.raises(ValueError, match="mask must be 'full' or 'edge'"):
+                OverwriteRule(0, 4, bad)
 
     def test_pose_shapes(self):
         for r, t in ((np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2))):

@@ -154,6 +154,27 @@ def test_occg_non_finite_header_rejected(tmp_path, bad):
             fileio.load_occg(path)
 
 
+def test_occg_save_rejects_labels_of_another_shape(tmp_path):
+    spec = GridSpec(dims=(4, 3, 2), origin=(0, 0, 0), voxel_size=0.4)
+    path = tmp_path / "g.occg"
+    for shape in ((2, 3, 4), (1, 3, 2), (24,)):
+        with pytest.raises(ValueError, match="labels shape does not match grid dims"):
+            fileio.save_occg(path, spec, np.zeros(shape, dtype=np.uint8))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("version, width, message", [
+    (0, 1, "unsupported OCCG version 0"), (2, 1, "unsupported OCCG version 2"),
+    (1, 0, "bad label width 0"), (1, 3, "bad label width 3"), (1, 4, "bad label width 4")])
+def test_occg_unknown_version_or_label_width_rejected(tmp_path, version, width, message):
+    path = tmp_path / "g.occg"
+    header = b"OCCG" + struct.pack("<IIII", version, 2, 2, 2)
+    header += struct.pack("<ffff", 0.4, 0.0, 0.0, 0.0) + struct.pack("<B", width)
+    path.write_bytes(header + bytes(8 * 4))
+    with pytest.raises(ValueError, match=message):
+        fileio.load_occg(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_bevl_non_finite_header_rejected(tmp_path, bad):
     path = tmp_path / "l.bevl"

@@ -249,29 +249,3 @@ class TestKl:
             return np.asarray(loss), lambda dd: (dd * dmu, dd * dlv)
 
         assert nn.grad_check(f, [mu, logvar], rng=rng) < 1e-6
-
-
-class TestLogitNormal:
-    def test_open_interval(self):
-        rng = np.random.default_rng(10)
-        taus = losses.sample_logit_normal(rng, 0.0, 1.0, size=10000)
-        assert np.all(taus > 0.0) and np.all(taus < 1.0)
-
-    def test_symmetric_mean(self):
-        rng = np.random.default_rng(11)
-        taus = losses.sample_logit_normal(rng, 0.0, 1.0, size=100000)
-        assert abs(taus.mean() - 0.5) < 0.01
-
-    def test_large_location_saturates(self):
-        rng = np.random.default_rng(12)
-        taus = losses.sample_logit_normal(rng, 30.0, 0.1, size=100)
-        assert np.all(taus > 0.999)
-
-    def test_saturated_draws_stay_inside(self):
-        rng = np.random.default_rng(13)
-        assert np.all(losses.sample_logit_normal(rng, 50.0, 1.0, size=100) == 1.0 - 1e-12)
-        assert np.all(losses.sample_logit_normal(rng, -50.0, 1.0, size=100) == 1e-12)
-
-    def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            losses.sample_logit_normal(np.random.default_rng(0), 0.0, 0.0)

@@ -137,6 +137,13 @@ class TestIou:
         assert iou.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert present.tolist() == [True, False, False, False]
 
+    def test_an_all_free_matrix_scores_zero(self):
+        # no non-free class and an empty occupied union: 0.0, not 0 / 0
+        grid = SemanticOccupancyGrid.full_free(SPEC, SCHEMA)
+        acc = metrics.confusion_accumulate(grid, grid, metrics.ConfusionMatrix(SCHEMA.num_classes))
+        assert metrics.miou(acc, SCHEMA) == 0.0
+        assert metrics.binary_iou(acc, SCHEMA) == 0.0
+
 
 class TestBevVsLayout:
     def test_self_consistent_layout(self):
@@ -159,6 +166,23 @@ class TestBevVsLayout:
         report = metrics.bev_vs_layout_metrics(grid, layout, SCHEMA)
         assert report["per_channel"][0] == 0.0
         assert report["mean"] == 0.0
+
+    def test_mismatched_footprint_rejected(self):
+        grid = SemanticOccupancyGrid.full_free(SPEC, SCHEMA)
+        for layout in (BevLayout(8, 8, 0.5, 15), BevLayout(8, 4, 0.4, 15)):
+            with pytest.raises(ValueError, match="grid and layout footprints do not match"):
+                metrics.bev_vs_layout_metrics(grid, layout, SCHEMA)
+
+    def test_channel_without_a_class_is_skipped(self):
+        # channel 0 is set in every cell, but no class maps to it
+        schema = LabelSchema(layout_channel_map={4: 1})
+        labels = np.full(SPEC.dims, schema.free_class, dtype=np.uint8)
+        labels[2:4, 2:4, 0] = 4
+        layout = BevLayout(8, 8, 0.4, 2)
+        layout.bits[:] = 1
+        layout.bits[2:4, 2:4] |= 2
+        report = metrics.bev_vs_layout_metrics(SemanticOccupancyGrid(SPEC, labels), layout, schema)
+        assert report == {"per_channel": {1: 1.0}, "mean": 1.0}
 
     def test_matches_cell_oracle(self):
         rng = np.random.default_rng(5)

@@ -167,6 +167,27 @@ def test_grad_check_flags_a_wrong_backward():
     assert abs(nn.grad_check(f, [x], rng=rng) - 0.5) < 1e-6
 
 
+def test_grad_check_needs_one_gradient_per_input():
+    x, y = np.ones(3), np.ones(3)
+
+    def f(x, y):
+        return x * y, lambda d: (d * y,)
+
+    with pytest.raises(ValueError, match="backward must return one gradient per input"):
+        nn.grad_check(f, [x, y])
+
+
+def test_grad_check_skips_an_input_whose_gradient_is_none():
+    rng = np.random.default_rng(28)
+    x, y = rng.normal(size=3), rng.normal(size=3)
+
+    def f(x, y):
+        return x * y, lambda d: (d * y, None)
+
+    assert nn.grad_check(f, [x, y], rng=rng) < 1e-6
+    assert nn.grad_check(lambda x, y: (x * y, lambda d: (None, None)), [x, y]) == 0.0
+
+
 def test_layernorm_grad():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 5))
@@ -258,6 +279,13 @@ class TestAttention:
         attn = cache[3]
         assert np.allclose(attn, 0.5, atol=1e-12)
         assert np.allclose(out, v.mean(axis=0, keepdims=True), atol=1e-12)
+
+    def test_heads_must_divide_the_feature_dim(self):
+        x = np.zeros((2, 6))
+        assert nn.masked_attention(x, x, x, heads=3)[0].shape == (2, 6)
+        for heads in (4, 5):
+            with pytest.raises(ValueError, match="feature dim must be divisible by heads"):
+                nn.masked_attention(x, x, x, heads=heads)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
@@ -551,6 +579,17 @@ def test_adam_minimizes_quadratic():
         grads = {"w": 2.0 * params["w"]}
         nn.adam_step(params, grads, state, lr=0.05)
     assert np.max(np.abs(params["w"])) < 1e-3
+
+
+def test_accumulate_adds_in_place_and_checks_the_shape():
+    grads = nn.zero_grads({"w": np.ones((2, 3))})
+    nn.accumulate(grads, "w", np.full((2, 3), 1.5))
+    nn.accumulate(grads, "w", np.full((2, 3), 0.5))
+    assert np.array_equal(grads["w"], np.full((2, 3), 2.0))
+    for bad in (np.ones(3), np.ones((1, 3)), np.ones((3, 2))):  # the first two would broadcast
+        with pytest.raises(ValueError, match="gradient shape mismatch for w"):
+            nn.accumulate(grads, "w", bad)
+    assert np.array_equal(grads["w"], np.full((2, 3), 2.0))
 
 
 def test_clip_grads():

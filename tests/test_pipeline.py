@@ -59,6 +59,12 @@ class TestLabeledPointCloud:
         with pytest.raises(ValueError, match="integer dtype"):
             LabeledPointCloud(np.zeros((1, 3)), np.array(labels))
 
+    def test_one_label_per_point(self):
+        assert len(LabeledPointCloud(np.zeros((2, 3)), np.array([1000, 4001]))) == 2
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="points and labels length mismatch"):
+                LabeledPointCloud(np.zeros((2, 3)), np.full(n, 1000))
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint16, np.uint64])
     def test_labels_are_stored_as_uint16_with_their_values(self, dtype):
         labels = np.array([[1000, 4001], [17000, 17999]], dtype=dtype)
@@ -176,6 +182,14 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_propagate(empty, np.zeros((1, 3)), k=1)
 
+    def test_k_below_one_rejected(self):
+        labeled = LabeledPointCloud(np.array([[0, 0, 0], [1, 0, 0.]]),
+                                    np.array([4001, 4002]))
+        assert knn_propagate(labeled, np.array([[0.9, 0, 0]]), k=1).tolist() == [4002]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                knn_propagate(labeled, np.array([[0.9, 0, 0]]), k=k)
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(12)
         for k in (1, 3, 5):
@@ -238,6 +252,11 @@ class TestFitAsset:
             local = box.pose().inverse().apply(fit_asset_to_box(asset, box))
             extents = local.max(axis=0) - local.min(axis=0)
             assert np.all(np.abs(extents - np.array(box.size)) < 1e-9)
+
+    def test_empty_asset_rejected(self):
+        box = OrientedBox(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
+        with pytest.raises(ValueError, match="empty asset"):
+            fit_asset_to_box(np.zeros((0, 3)), box)
 
     def test_zero_extent_rejected(self):
         flat = np.zeros((10, 3))
@@ -522,21 +541,35 @@ class TestKnnOracle:
         for k in (1, 2, 5, 8):
             self.check(labeled, query, k)
 
+    def counted_queries(self, monkeypatch) -> list:
+        """(rows, candidates) of each tree query that knn_propagate makes."""
+        calls = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kw):
+                calls.append((len(x), k))
+                return super().query(x, k=k, **kw)
+
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda p, **kw: CountingTree(p, **kw))
+        return calls
+
     def test_more_ties_than_candidates_are_queried_again(self, monkeypatch):
         # 26 points at distance 1 from the origin query, 2 farther ones; k = 3
         unit = np.concatenate([np.eye(3), -np.eye(3)])
         pts = np.concatenate([np.tile(unit, (4, 1)), unit[:2], [[3.0, 0, 0], [0, 0, 2]]])
         labeled = LabeledPointCloud(pts, np.arange(len(pts)) % 5 + 1001)
-        counts = []
-
-        class CountingTree(cKDTree):
-            def query(self, x, k=1, **kw):
-                counts.append(k)
-                return super().query(x, k=k, **kw)
-
-        monkeypatch.setattr("scipy.spatial.cKDTree", lambda p, **kw: CountingTree(p, **kw))
+        calls = self.counted_queries(monkeypatch)
         self.check(labeled, np.array([[0.0, 0, 0], [2.9, 0, 0]]), 3)
-        assert counts == [6, 12, 24, 28]
+        assert calls == [(2, 6), (2, 12), (1, 24), (1, 28)]
+
+    def test_a_kth_candidate_nearer_than_the_last_ends_the_row(self, monkeypatch):
+        # k = 3 of 7 points: squared distances 1, 4, 9, then 16 four times, so
+        # the 6 candidates' 3rd is nearer than their 6th, though the 5th is not
+        pts = np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]] + [[4.0, 0, 0]] * 4)
+        labeled = LabeledPointCloud(pts, np.array([1001, 1002, 1001, 1003, 1003, 1003, 1003]))
+        calls = self.counted_queries(monkeypatch)
+        self.check(labeled, np.zeros((1, 3)), 3)
+        assert calls == [(1, 6)]
 
     def test_permuting_the_queries_permutes_the_output(self):
         # the queries run in x order; each row's answer must not depend on it

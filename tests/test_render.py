@@ -296,6 +296,19 @@ class TestRaycast:
         with pytest.raises(ValueError, match="finite, non-zero directions"):
             raycast_grid(labels, spec, origins, dirs, np.inf, SCHEMA.free_class)
 
+    def test_labels_of_another_shape_rejected(self):
+        # (1, 3, 2) labels used to broadcast over x: a hit at [0, 1, 0] in a 4-wide grid
+        spec = GridSpec(dims=(4, 3, 2), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
+        labels = np.zeros((4, 3, 2), dtype=np.uint8)
+        labels[0, 1, 0] = 1
+        args = spec, [[-1.0, 1.5, 0.5]], [[1.0, 0.0, 0.0]], 10.0, 0
+        hit, iv = raycast_grid(labels, *args)
+        assert hit.tolist() == [True] and iv.tolist() == [[0, 1, 0]]
+        for bad, shape in ((labels[:1], "1, 3, 2"), (labels[:, :, :1], "4, 3, 1"),
+                           (labels.reshape(2, 6, 2), "2, 6, 2")):
+            with pytest.raises(ValueError, match=rf"labels shape \({shape}\) != dims \(4, 3, 2\)"):
+                raycast_grid(bad, *args)
+
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(42)
         spec = self.spec()
@@ -848,6 +861,24 @@ def test_negative_insertions_rejected():
         densify_rig(standard_rig(), -1)
 
 
+def test_densify_needs_two_cameras():
+    rig = CameraRig([make_camera()])
+    assert densify_rig(rig, 0) is rig
+    for rig in (rig, CameraRig([])):
+        with pytest.raises(ValueError, match="need at least two cameras to interpolate"):
+            densify_rig(rig, 1)
+
+
+def test_duplicate_camera_name_rejected():
+    def virtual(name):
+        return Camera(fx=1, fy=1, cx=0, cy=0, width=4, height=4, pose=Se3Pose.identity(),
+                      role="virtual", name=name)
+
+    assert len(CameraRig([virtual("v0"), virtual("v1")]).cameras) == 2
+    with pytest.raises(ValueError, match="duplicate camera name in rig"):
+        CameraRig([virtual("v0"), virtual("v1"), virtual("v0")])
+
+
 def test_buffers_validate_moment_orthogonality():
     d = np.array([1.0, 0.0, 0.0])
 
@@ -858,6 +889,13 @@ def test_buffers_validate_moment_orthogonality():
                                hit_mask=np.zeros((1, 1), dtype=bool))
 
     buffers(np.array([0.0, 2.0, -3.0])).validate()
+    # a non-finite coordinate counts only where the ray hit
+    buf = buffers(np.array([0.0, 2.0, -3.0]))
+    buf.coordinate[0, 0, 1] = np.nan
+    buf.validate()
+    buf.hit_mask[0, 0] = True
+    with pytest.raises(ValueError, match="non-finite hit coordinates"):
+        buf.validate()
     buffers(np.array([1e-12, 2.0, -3.0])).validate()  # at the tolerance
     for bad in ([2e-12, 2.0, -3.0], [0.5, 0.0, 0.0], [-1.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="orthogonal"):

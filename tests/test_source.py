@@ -67,9 +67,6 @@ ALLOWLIST: dict[str, str] = {
     "core.Se3Pose.from_translation": _VALUE,
     "core.SemanticOccupancyGrid.full_free": _VALUE,
     "vae.VaeConfig.latent_hw": "a property of the config: the latent grid's size, which the tests read",
-    "losses.sample_logit_normal": (
-        "the only user of the sigmoid import in losses, which the benchmark's "
-        "tracer wraps as losses.sigmoid; it goes when the tracer drops that entry"),
 }
 
 # A public name that more than one class or module defines is matched by
@@ -86,7 +83,6 @@ SHARED_NAMES: dict[str, str] = {
 }
 
 _TUNED = "a test tool; the tests tune it"
-_TRACED = "goes with its function, when the benchmark's tracer drops losses.sigmoid"
 
 DEFAULTS_ALLOWLIST: dict[str, str] = {
     **{f"nn.grad_check({name})": _TUNED for name in ("eps", "rng", "max_coords")},
@@ -94,8 +90,6 @@ DEFAULTS_ALLOWLIST: dict[str, str] = {
        for name in ("hidden", "attn_heads")},
     "vae.VaeConfig(kl_weight)": ("the finite-difference test of the train step raises it: "
                                  "at the default 1e-4 a wrong KL gradient stays below the bound"),
-    **{f"losses.sample_logit_normal({name})": _TRACED
-       for name in ("location", "scale", "size")},
     "core.panoptic_encode(schema)": "its stuff/free rule depends on the schema",
 }
 
