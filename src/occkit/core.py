@@ -346,16 +346,13 @@ _RESOLUTION_TOL = 1e-6  # absorbs float32 header rounding of on-disk resolutions
 
 
 class BevLayout:
-    """Ego-centered multi-hot raster; bits[i, j] is a uint16 channel bitmask.
-
-    Width and height are integers >= 1 and channels an integer in [0, 16] (not
-    bools); given bits need an integer dtype and no bit at or above ``channels``.
-    """
+    """Ego-centered multi-hot raster: bits[i, j] is a uint16 channel bitmask, zero
+    until :func:`layout_rasterize` sets it. Width and height are integers >= 1 and
+    channels an integer in [0, 16] (not bools)."""
 
     MAX_CHANNELS = 16
 
-    def __init__(self, width: int, height: int, resolution: float,
-                 channels: int, bits: np.ndarray | None = None):
+    def __init__(self, width: int, height: int, resolution: float, channels: int):
         if not (_is_int(width) and _is_int(height) and width >= 1 and height >= 1):
             raise ValueError(f"layout size must be integers >= 1, not {width!r} x {height!r}")
         if not (_is_int(channels) and 0 <= channels <= self.MAX_CHANNELS):
@@ -366,16 +363,7 @@ class BevLayout:
         self.height = int(height)
         self.resolution = float(resolution)
         self.channels = int(channels)
-        if bits is None:
-            bits = np.zeros((self.width, self.height), dtype=np.uint16)
-        bits = np.asarray(bits)
-        if bits.shape != (self.width, self.height):
-            raise ValueError("bits shape mismatch")
-        if not np.issubdtype(bits.dtype, np.integer):
-            raise ValueError(f"bits need an integer dtype, not {bits.dtype}")
-        if bits.size and (int(bits.min()) < 0 or int(bits.max()) >> self.channels):
-            raise ValueError(f"bits set outside the layout's {self.channels} channels")
-        self.bits = bits.astype(np.uint16, copy=False)
+        self.bits = np.zeros((self.width, self.height), dtype=np.uint16)
 
     @property
     def origin_xy(self) -> tuple[float, float]:
@@ -468,9 +456,9 @@ def layout_rasterize(
 class OverwriteRule:
     """Relabel ground-band voxels under flagged layout cells.
 
-    ``mask`` is "full" (every flagged cell, for thin dividers) or "edge"
-    (flagged cells whose 4-neighborhood contains an unflagged cell, for
-    area classes).
+    ``channel`` and ``new_class`` are integers >= 0 (not bools). ``mask`` is
+    "full" (every flagged cell, for thin dividers) or "edge" (flagged cells
+    whose 4-neighborhood contains an unflagged cell, for area classes).
     """
 
     channel: int
@@ -478,6 +466,8 @@ class OverwriteRule:
     mask: str = "full"
 
     def __post_init__(self):
+        if not all(_is_int(v) and v >= 0 for v in (self.channel, self.new_class)):
+            raise ValueError(f"channel and new_class must be integers >= 0: {self!r}")
         if self.mask not in ("full", "edge"):
             raise ValueError("mask must be 'full' or 'edge'")
 
@@ -500,15 +490,16 @@ def layout_overwrite(
     layout: BevLayout,
     rules: Sequence[OverwriteRule],
 ) -> SemanticOccupancyGrid:
-    """Stamp map structure from the layout into the grid's ground band."""
+    """Stamp each rule's ``new_class`` into the grid's ground band; it must fit the dtype."""
     if not layout.matches_grid(grid.spec):
         raise ValueError("grid and layout footprints do not match")
     out = grid.copy()
-    zband = min(GROUND_BAND_Z, grid.spec.dims[2])
     for rule in rules:
+        if rule.new_class > np.iinfo(out.labels.dtype).max:
+            raise ValueError(f"class {rule.new_class} does not fit the grid's {out.labels.dtype}")
         flagged = layout.channel_mask(rule.channel)
         cells = flagged if rule.mask == "full" else _edge_cells(flagged)
-        out.labels[cells, :zband] = rule.new_class
+        out.labels[cells, :GROUND_BAND_Z] = rule.new_class
     return out
 
 

@@ -9,14 +9,6 @@ The headers and payloads:
 * ``OCCG`` occupancy grid: u32 version=1, u32 X, u32 Y, u32 Z,
   f32 voxel_size, 3 x f32 origin, u8 label_width in {1, 2}, then
   X*Y*Z labels in x-major / y-middle / z-minor order.
-* ``BEVL`` layout: u32 W, u32 H, f32 resolution, u8 channels, then
-  W*H u16 channel bitmasks.
-* ``LPCD`` labeled point cloud: u32 N, then N records of
-  3 x f32 xyz + u32 panoptic label.
-* ``CBUF`` coordinate buffer: u32 W, u32 H, then 3 row-major
-  f32 planes (world x, y, z).
-* ``PLKB`` ray embedding: u32 W, u32 H, then 6 row-major f32
-  planes (direction xyz, moment xyz).
 * ``PKPT`` parameter checkpoint: u32 count, then per tensor
   u32 name length, name bytes, u32 rank, u32 dims, f64 data.
 """
@@ -32,9 +24,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import BevLayout, GridSpec
-
-_LPCD_RECORD = np.dtype([("xyz", "<f4", (3,)), ("label", "<u4")])
+from .core import GridSpec
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
@@ -111,76 +101,6 @@ def load_occg(path: str | Path) -> tuple[GridSpec, np.ndarray]:
     spec = GridSpec(dims=(x, y, z), origin=(float(ox), float(oy), float(oz)),
                     voxel_size=float(voxel))
     return spec, labels
-
-
-def save_bevl(path: str | Path, layout: BevLayout) -> None:
-    _save(path, b"BEVL", "<IIfB",
-          (layout.width, layout.height, layout.resolution, layout.channels),
-          [layout.bits.astype("<u2").tobytes()])
-
-
-def load_bevl(path: str | Path) -> BevLayout:
-    with _reading(path, b"BEVL") as f:
-        w, h, res, channels = _unpack(f, "<IIfB")
-        bits = _array(f, "<u2", (w, h))
-    return BevLayout(w, h, float(res), channels, bits)
-
-
-def save_lpcd(path: str | Path, points: np.ndarray, labels: np.ndarray) -> None:
-    """Labels need an integer dtype and values in the u32 field's [0, 2**32)."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) != len(labels):
-        raise ValueError("points must be (N, 3) with matching labels")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"labels need an integer dtype, not {labels.dtype}")
-    if labels.size and (int(labels.min()) < 0 or int(labels.max()) >= 2**32):
-        raise ValueError("labels outside the u32 range [0, 2**32)")
-    rec = np.empty(len(points), dtype=_LPCD_RECORD)
-    rec["xyz"] = points.astype(np.float32)
-    rec["label"] = labels.astype(np.uint32)
-    _save(path, b"LPCD", "<I", (len(points),), [rec.tobytes()])
-
-
-def load_lpcd(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) float64 points and N int64 labels, each in [0, 2**32)."""
-    with _reading(path, b"LPCD") as f:
-        (n,) = _unpack(f, "<I")
-        rec = _array(f, _LPCD_RECORD, (n,))
-    return rec["xyz"].astype(np.float64), rec["label"].astype(np.int64)
-
-
-def _save_planes(path: str | Path, magic: bytes, planes: np.ndarray, count: int) -> None:
-    planes = np.asarray(planes)
-    if planes.ndim != 3 or planes.shape[2] != count:
-        raise ValueError(f"expected (H, W, {count}) array")
-    h, w = planes.shape[:2]
-    _save(path, magic, "<II", (w, h), [np.moveaxis(planes, -1, 0).astype("<f4").tobytes()])
-
-
-def _load_planes(path: str | Path, magic: bytes, count: int) -> np.ndarray:
-    with _reading(path, magic) as f:
-        w, h = _unpack(f, "<II")
-        flat = _array(f, "<f4", (count, h, w))
-    return np.moveaxis(flat, 0, -1).astype(np.float64)
-
-
-def save_cbuf(path: str | Path, coords: np.ndarray) -> None:
-    """Coordinate buffer (H, W, 3) -> CBUF container."""
-    _save_planes(path, b"CBUF", coords, 3)
-
-
-def load_cbuf(path: str | Path) -> np.ndarray:
-    return _load_planes(path, b"CBUF", 3)
-
-
-def save_plkb(path: str | Path, plucker: np.ndarray) -> None:
-    """Ray embedding (H, W, 6) -> PLKB container."""
-    _save_planes(path, b"PLKB", plucker, 6)
-
-
-def load_plkb(path: str | Path) -> np.ndarray:
-    return _load_planes(path, b"PLKB", 6)
 
 
 def save_pkpt(path: str | Path, tensors: Mapping[str, np.ndarray]) -> None:

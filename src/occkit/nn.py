@@ -255,12 +255,14 @@ def accumulate(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
 
 
 def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale the gradients in place to a global norm <= max_norm; returns the old norm."""
+    """Scale the gradients in place to a global norm <= max_norm (> 0); returns the old norm."""
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be > 0, not {max_norm!r}")
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
     norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, LabelSchema, Se3Pose, SemanticOccupancyGrid
+from .core import GridSpec, LabelSchema, Se3Pose, SemanticOccupancyGrid, _is_int
 
 BASE_ROLES = ("FL", "F", "FR", "BR", "B", "BL")
 
@@ -57,6 +57,8 @@ class Camera:
     name: str = ""
 
     def __post_init__(self):
+        if not all(_is_int(v) and v >= 1 for v in (self.width, self.height)):
+            raise ValueError(f"image size must be integers >= 1: {self.width!r}, {self.height!r}")
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -106,6 +106,13 @@ class TestPanopticCodec:
         sem = PanopticVoxelGrid(spec, np.array([[[4007, 17000]]])).to_semantic(SCHEMA)
         assert sem.labels.tolist() == [[[4, SCHEMA.free_class]]]
 
+    def test_to_semantic_is_uint8_up_to_255_classes(self):
+        grid = PanopticVoxelGrid(GridSpec((1, 1, 2), (0.0, 0.0, 0.0), 1.0),
+                                 np.array([[[4007, 17000]]]))
+        for n, dtype in ((255, np.uint8), (256, np.uint16)):
+            sem = grid.to_semantic(LabelSchema(num_classes=n, free_class=n - 1))
+            assert sem.labels.dtype == dtype and sem.labels.tolist() == [[[4, n - 1]]]
+
     def test_exhaustive_round_trip(self):
         for s in range(1, 18):
             i_max = 999 if s <= 10 else 0
@@ -248,8 +255,26 @@ class TestLayoutOverwrite:
 
     def test_zero_layout_is_identity(self):
         grid, layout = self.make()
+        # a fresh layout's bits are uint16 zeros, with 0, 15 or 16 channels
+        for fresh in (layout, BevLayout(1, 1, 0.4, 0), BevLayout(2, 2, 0.4, 16)):
+            assert fresh.bits.dtype == np.uint16 and not fresh.bits.any()
+        assert BevLayout(3, 2, 0.4, 0).bits.shape == (3, 2)
         out = layout_overwrite(grid, layout, [OverwriteRule(2, 13, "full")])
         assert np.array_equal(out.labels, grid.labels)
+
+    def test_new_class_must_fit_the_grid_dtype(self):
+        grid, layout = self.make()
+        layout.bits[5, 7] = 1 << 2
+        # on a uint16 grid numpy raised OverflowError; 256 would not fit a uint8 grid
+        for labels, new_class in ((grid.labels, 256), (grid.labels.astype(np.uint16), 65536),
+                                  (grid.labels.astype(np.int8), 128)):
+            with pytest.raises(ValueError, match=f"class {new_class} does not fit"):
+                layout_overwrite(SemanticOccupancyGrid(grid.spec, labels), layout,
+                                 [OverwriteRule(2, new_class)])
+        out = layout_overwrite(SemanticOccupancyGrid(grid.spec, grid.labels.astype(np.uint16)),
+                               layout, [OverwriteRule(2, 65535)])
+        assert out.labels[5, 7, :2].tolist() == [65535, 65535]
+        assert layout_overwrite(grid, layout, [OverwriteRule(2, 255)]).labels[5, 7, 0] == 255
 
     def test_single_cell_divider(self):
         grid, layout = self.make()
@@ -535,29 +560,23 @@ class TestBoundaries:
         with pytest.raises(ValueError, match="layout size|channels"):
             BevLayout(*args)
 
-    def test_layout_bits_must_fit_the_channels(self):
-        ok = np.array([[0, 7], [5, 1]], dtype=np.int64)
-        assert BevLayout(2, 2, 0.4, 3, ok).bits.tolist() == [[0, 7], [5, 1]]
-        assert BevLayout(2, 2, 0.4, 16, np.full((2, 2), 0xFFFF)).bits.dtype == np.uint16
-        assert BevLayout(1, 1, 0.4, 0).bits.tolist() == [[0]]
-        # 70000 and -1 wrapped to 4464 and 65535; 8 sets bit 3 of a 3-channel layout
-        for bad in (70000, -1, 8):
-            with pytest.raises(ValueError, match="outside"):
-                BevLayout(2, 2, 0.4, 3, np.array([[0, 1], [bad, 2]]))
-        with pytest.raises(ValueError, match="integer dtype"):
-            BevLayout(2, 2, 0.4, 3, np.ones((2, 2)))
-
-    def test_layout_bits_must_be_width_by_height(self):
-        assert BevLayout(3, 2, 0.4, 1, np.ones((3, 2), dtype=np.uint8)).bits.shape == (3, 2)
-        for shape in ((2, 3), (3, 2, 1), (6,)):
-            with pytest.raises(ValueError, match="bits shape mismatch"):
-                BevLayout(3, 2, 0.4, 1, np.ones(shape, dtype=np.uint8))
-
     def test_overwrite_rule_masks(self):
         assert [OverwriteRule(0, 4, m).mask for m in ("full", "edge")] == ["full", "edge"]
         for bad in ("ring", "Full", ""):
             with pytest.raises(ValueError, match="mask must be 'full' or 'edge'"):
                 OverwriteRule(0, 4, bad)
+
+    @pytest.mark.parametrize("channel, new_class", [
+        (0, -1), (-1, 4), (0, 2.7), (2.0, 4), (0, True), (False, 4), (0, np.float64(3.0)),
+        (0, "4")])
+    def test_overwrite_rule_needs_integers_at_least_zero(self, channel, new_class):
+        # -1 was written into an int64 grid, 2.7 as 2 and True as 1
+        with pytest.raises(ValueError, match="channel and new_class must be integers >= 0"):
+            OverwriteRule(channel, new_class)
+
+    def test_overwrite_rule_takes_numpy_integers_and_zero(self):
+        rule = OverwriteRule(np.int64(0), np.uint8(0))
+        assert (rule.channel, rule.new_class) == (0, 0)
 
     def test_pose_shapes(self):
         for r, t in ((np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2))):

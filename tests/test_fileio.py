@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from occkit import fileio
-from occkit.core import BevLayout, GridSpec
+from occkit.core import GridSpec
 
 
 def test_occg_round_trip(tmp_path):
@@ -69,38 +69,6 @@ def test_occg_serialization_order(tmp_path):
     fileio.save_occg(path, spec, labels)
     raw = path.read_bytes()
     assert raw[-8:] == bytes(range(8))
-
-
-def test_bevl_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    layout = BevLayout(8, 6, 0.4, 15,
-                       rng.integers(0, 2 ** 15, size=(8, 6), dtype=np.uint16))
-    path = tmp_path / "l.bevl"
-    fileio.save_bevl(path, layout)
-    loaded = fileio.load_bevl(path)
-    assert (loaded.width, loaded.height, loaded.channels) == (8, 6, 15)
-    assert np.array_equal(loaded.bits, layout.bits)
-
-
-def test_lpcd_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    pts = rng.normal(size=(100, 3)).astype(np.float32).astype(np.float64)
-    labels = rng.integers(1000, 18000, size=100)
-    path = tmp_path / "c.lpcd"
-    fileio.save_lpcd(path, pts, labels)
-    pts2, labels2 = fileio.load_lpcd(path)
-    assert np.array_equal(pts2, pts)
-    assert np.array_equal(labels2, labels)
-
-
-def test_plane_containers(tmp_path):
-    rng = np.random.default_rng(3)
-    coords = rng.normal(size=(5, 7, 3)).astype(np.float32).astype(np.float64)
-    plk = rng.normal(size=(5, 7, 6)).astype(np.float32).astype(np.float64)
-    fileio.save_cbuf(tmp_path / "a.cbuf", coords)
-    fileio.save_plkb(tmp_path / "a.plkb", plk)
-    assert np.array_equal(fileio.load_cbuf(tmp_path / "a.cbuf"), coords)
-    assert np.array_equal(fileio.load_plkb(tmp_path / "a.plkb"), plk)
 
 
 def test_pkpt_round_trip(tmp_path):
@@ -175,44 +143,6 @@ def test_occg_unknown_version_or_label_width_rejected(tmp_path, version, width, 
         fileio.load_occg(path)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_bevl_non_finite_header_rejected(tmp_path, bad):
-    path = tmp_path / "l.bevl"
-    path.write_bytes(b"BEVL" + struct.pack("<IIfB", 2, 2, bad, 3) + bytes(8))
-    with pytest.raises(ValueError, match="finite"):
-        fileio.load_bevl(path)
-
-
-@pytest.mark.parametrize("w, h, channels, bits", [
-    (2, 2, 3, [[0, 1], [8, 2]]),         # bit 3 of a 3-channel layout
-    (2, 2, 0, [[0, 0], [0, 1]]),         # any bit of a 0-channel layout
-    (0, 2, 3, []),                       # an empty raster
-    (2, 2, 17, [[0, 0], [0, 0]])],       # more channels than a u16 mask holds
-    ids=["bit-past-channels", "bit-of-no-channel", "zero-width", "17-channels"])
-def test_hostile_bevl_rejected(tmp_path, w, h, channels, bits):
-    path = tmp_path / "l.bevl"
-    payload = np.asarray(bits, dtype="<u2").tobytes()
-    path.write_bytes(b"BEVL" + struct.pack("<IIfB", w, h, 0.4, channels) + payload)
-    with pytest.raises(ValueError):
-        fileio.load_bevl(path)
-
-
-@pytest.mark.parametrize("labels", [[1, -1], [1, 2**33 + 5], [1, 2**32], [1.0, 2.0], [True, False]])
-def test_lpcd_save_rejects_labels_the_u32_field_would_wrap(tmp_path, labels):
-    # -1 was written as 4294967295 and 2**33 + 5 as 5
-    path = tmp_path / "c.lpcd"
-    with pytest.raises(ValueError, match="labels"):
-        fileio.save_lpcd(path, np.zeros((2, 3)), np.array(labels))
-    assert not path.exists()
-
-
-def test_lpcd_labels_at_the_u32_ends_round_trip(tmp_path):
-    path = tmp_path / "c.lpcd"
-    for labels in (np.array([0, 2**32 - 1], dtype=np.uint64), np.array([0, 17999], np.uint16)):
-        fileio.save_lpcd(path, np.zeros((2, 3)), labels)
-        assert fileio.load_lpcd(path)[1].tolist() == labels.tolist()
-
-
 def test_pkpt_truncated_and_oversized(tmp_path):
     path = tmp_path / "c.pkpt"
     fileio.save_pkpt(path, {"w": np.ones((2, 3)), "b": np.zeros(3)})
@@ -237,23 +167,6 @@ def test_pkpt_truncated_and_oversized(tmp_path):
         fileio.load_pkpt(path)
 
 
-def test_lpcd_rejects_wrong_shapes(tmp_path):
-    path = tmp_path / "bad.lpcd"
-    for pts, labels in ((np.zeros((4, 2)), np.zeros(4)), (np.zeros(3), np.zeros(3)),
-                        (np.zeros((4, 3)), np.zeros(5)), (np.zeros((2, 3, 1)), np.zeros(2))):
-        with pytest.raises(ValueError, match="points must be"):
-            fileio.save_lpcd(path, pts, labels)
-    assert not path.exists()
-
-
-def test_plane_containers_reject_wrong_shapes(tmp_path):
-    for save, good in ((fileio.save_cbuf, 3), (fileio.save_plkb, 6)):
-        for shape in ((5, 7, good - 1), (5, 7, good + 1), (5, 7), (5, 7, good, 1)):
-            with pytest.raises(ValueError, match="expected"):
-                save(tmp_path / "bad.bin", np.zeros(shape))
-    assert not (tmp_path / "bad.bin").exists()
-
-
 def test_pkpt_rejects_a_repeated_tensor_name(tmp_path):
     record = struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1)
     path = tmp_path / "dup.pkpt"
@@ -269,14 +182,6 @@ CONTAINERS = {
     "occg": (lambda p: fileio.save_occg(p, GridSpec((2, 2, 2), (0, 0, 0), 1.0), np.ones((2, 2, 2))),
              fileio.load_occg, OCCG_HEADER,
              b"OCCG" + struct.pack("<IIIIffffB", 1, 256, 256, 256, 1.0, 0, 0, 0, 1)),
-    "bevl": (lambda p: fileio.save_bevl(p, BevLayout(2, 3, 0.4, 3, np.ones((2, 3), np.uint16))),
-             fileio.load_bevl, 17, b"BEVL" + struct.pack("<IIfB", 2048, 4096, 0.4, 3)),
-    "lpcd": (lambda p: fileio.save_lpcd(p, np.ones((3, 3)), np.arange(3)),
-             fileio.load_lpcd, 8, b"LPCD" + struct.pack("<I", 2 ** 20)),
-    "cbuf": (lambda p: fileio.save_cbuf(p, np.ones((2, 3, 3))),
-             fileio.load_cbuf, 12, b"CBUF" + struct.pack("<II", 1024, 1024)),
-    "plkb": (lambda p: fileio.save_plkb(p, np.ones((2, 3, 6))),
-             fileio.load_plkb, 12, b"PLKB" + struct.pack("<II", 1024, 512)),
     # count, name length, name, rank, dims
     "pkpt": (lambda p: fileio.save_pkpt(p, {"w": np.ones((2, 3))}),
              fileio.load_pkpt, 4 + 4 + 4 + 1 + 4 + 8,

@@ -13,9 +13,11 @@ Every stage but ``vae_steps`` is host-independent: no geometry goes through
 BLAS (``Se3Pose.rotate`` is the one 3x3 product), and the profile test below
 requires each of their digests under other OpenBLAS kernels and without
 numpy's AVX-512 paths. ``vae_steps`` goes through BLAS GEMMs and numpy's
-``exp`` and ``log``, which round by kernel and SIMD path: its digest holds on
-the host it was recorded on (AVX-512, OpenBLAS's SkylakeX kernel), on one
-BLAS thread or two.
+``exp`` and ``log``, which round by kernel and SIMD path. So it runs in a
+child interpreter under one pinned profile that every x86-64 host with AVX2
+and FMA can run: OpenBLAS's Haswell kernel, and numpy off its AVX-512 paths.
+Its digest holds there on one BLAS thread or two, whatever profile the
+tests themselves run under.
 """
 
 import json
@@ -31,7 +33,7 @@ import occkit
 from occkit import core, fileio, nn, pipeline, render, vae
 from occkit.core import GridSpec, LabelSchema, SemanticOccupancyGrid
 
-from test_nn import cpu_flags
+from test_nn import cpu_flags, numpy_blas
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "occbench"))
 from bench_checks import digest  # noqa: E402
@@ -43,7 +45,8 @@ CAMERA = dict(fx=8.0, width=16, height=9, z=-1.6 + core.GROUND_BAND_Z * 0.4 + 1.
 VAE = vae.VaeConfig(grid_dims=(8, 8, 8), num_classes=LabelSchema().num_classes,
                     hidden=(8, 8, 8), spatial_downsample=2, attn_heads=2)
 
-# remove, cameras6 and cameras24 moved once when Se3Pose.apply (which places the
+# vae_steps is its digest under the pinned profile (PINNED below). remove,
+# cameras6 and cameras24 moved once when Se3Pose.apply (which places the
 # scene's asset points) and Camera.pixel_directions left BLAS for the stated
 # rotation rule; the new digests are the ones the BLAS code gave under the
 # OpenBLAS Sandybridge kernel, which has no FMA
@@ -56,7 +59,7 @@ GOLDEN = {
     "occg_round_trip": "8c968f6d7a4eb47a",
     "cameras6": "7c8f32b5940c3d6f",
     "cameras24": "5c1abd6d6c9d959d",
-    "vae_steps": "d6faa827fcce8253",
+    "vae_steps": "92cce75aa4b9eb48",
 }
 
 
@@ -66,7 +69,8 @@ def buffers_digest(grid, rig, schema) -> str:
                     for a in (b.hit_mask, b.semantic, b.coordinate, b.plucker)))
 
 
-def stage_digests(tmp_path) -> dict[str, str]:
+def scene_digests(tmp_path) -> tuple[dict[str, str], np.ndarray]:
+    """The digest of every stage but ``vae_steps``, and the VAE's batch."""
     schema = LabelSchema()
     scene = build_scene(7, schema, SPEC, n_points=20_000, n_queries=400)
     out = {}
@@ -93,23 +97,55 @@ def stage_digests(tmp_path) -> dict[str, str]:
     out["cameras6"] = buffers_digest(loaded, rig, schema)
     rig24 = render.densify_rig(render.densify_rig(rig, 1), 1)
     out["cameras24"] = buffers_digest(loaded, rig24, schema)
+    return out, np.stack([loaded.labels[:8, :8], loaded.labels[12:20, 16:24]]).astype(np.int64)
+
+
+def vae_digest(batch: np.ndarray) -> str:
+    """The ``vae_steps`` digest: three train steps on ``batch``."""
     params = vae.init_vae_params(VAE, nn.stream(7, "golden/vae"))
     adam, noise = nn.adam_init(params), nn.stream(7, "golden/noise")
-    batch = np.stack([loaded.labels[:8, :8], loaded.labels[12:20, 16:24]]).astype(np.int64)
     losses = []
     for _ in range(3):
         grads = nn.zero_grads(params)
         losses.append(vae.vae_train_step(params, grads, VAE, batch, noise)["loss"])
         nn.clip_grads(grads, 1.0)
         nn.adam_step(params, grads, adam, lr=1e-3)
-    out["vae_steps"] = digest(np.array(losses), *(params[k] for k in sorted(params)))
-    return out
+    return digest(np.array(losses), *(params[k] for k in sorted(params)))
+
+
+PROFILE_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# vae_steps' one profile; only a host with AVX-512 has AVX-512 paths to turn off
+PINNED = {"OPENBLAS_CORETYPE": "Haswell", **(NO_AVX512 if "avx512f" in cpu_flags() else {})}
+
+
+def run_child(env: dict[str, str], expr: str, arg) -> object:
+    """The JSON value of ``expr`` (which may read ``test_golden`` and ``sys.argv[1]``,
+    that is ``arg``) in a child interpreter whose numeric profile is ``env`` alone."""
+    here = Path(__file__).resolve().parent
+    paths = [str(Path(occkit.__file__).resolve().parents[1]), str(here)]
+    base = {k: v for k, v in os.environ.items() if k not in PROFILE_VARIABLES}
+    code = f"import json, pathlib, sys, numpy as np, test_golden; print(json.dumps({expr}))"
+    done = subprocess.run([sys.executable, "-c", code, str(arg)], cwd=here,
+                          env={**base, **env, "PYTHONPATH": os.pathsep.join(paths)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_every_stage_output_matches_its_golden_digest(tmp_path):
-    got = stage_digests(tmp_path)
-    moved = [stage for stage in GOLDEN if got[stage] != GOLDEN[stage]]
+    got, _ = scene_digests(tmp_path)
+    moved = [stage for stage in GOLDEN if stage != "vae_steps" and got[stage] != GOLDEN[stage]]
     assert moved == [], f"first stage that moved: {moved[0]}; digests now {got}"
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(not {"avx2", "fma"} <= cpu_flags(), reason="the CPU lacks AVX2 or FMA")
+def test_vae_steps_match_their_golden_digest_under_the_pinned_profile(tmp_path):
+    _, batch = scene_digests(tmp_path)
+    np.save(tmp_path / "batch.npy", batch)
+    got = run_child(PINNED, "test_golden.vae_digest(np.load(sys.argv[1]))", tmp_path / "batch.npy")
+    assert got == GOLDEN["vae_steps"], f"vae_steps under {PINNED}: {got}"
 
 
 # (CPU flags the profile needs, child-process environment)
@@ -117,8 +153,7 @@ PROFILES = {
     "openblas_haswell": ({"avx2", "fma"}, {"OPENBLAS_CORETYPE": "Haswell"}),
     "openblas_sandybridge": ({"avx"}, {"OPENBLAS_CORETYPE": "Sandybridge"}),
     # only a host with AVX-512 has AVX-512 paths to turn off
-    "numpy_without_avx512": ({"avx512f"}, {
-        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
+    "numpy_without_avx512": ({"avx512f"}, NO_AVX512),
 }
 
 
@@ -126,18 +161,10 @@ PROFILES = {
 def test_every_stage_but_the_vae_holds_under_other_numeric_profiles(profile, tmp_path):
     """The golden stages, rerun in a child interpreter under another OpenBLAS
     kernel or without numpy's AVX-512 paths. Every stage but ``vae_steps`` must
-    keep its digest; ``vae_steps`` stays host-dependent (see the module notes)."""
+    keep its digest; ``vae_steps`` has its own pinned profile (see the module notes)."""
     needs, env = PROFILES[profile]
     if not needs <= cpu_flags():
         pytest.skip(f"the CPU lacks {sorted(needs - cpu_flags())}")
-    here = Path(__file__).resolve().parent
-    paths = [str(Path(occkit.__file__).resolve().parents[1]), str(here)]
-    code = ("import json, pathlib, sys, test_golden; print(json.dumps("
-            "test_golden.stage_digests(pathlib.Path(sys.argv[1]))))")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=here,
-                          env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(paths)},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    got = json.loads(done.stdout.splitlines()[-1])
+    got = run_child(env, "test_golden.scene_digests(pathlib.Path(sys.argv[1]))[0]", tmp_path)
     moved = [stage for stage in GOLDEN if stage != "vae_steps" and got[stage] != GOLDEN[stage]]
     assert moved == [], f"stages that moved under {profile}: {moved}; digests now {got}"

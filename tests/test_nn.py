@@ -597,3 +597,13 @@ def test_clip_grads():
     norm = nn.clip_grads(grads, max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
     assert abs(np.linalg.norm(grads["a"]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_clip_grads_needs_a_positive_max_norm(bad):
+    # max_norm 0 left the gradients as they were, above the norm it promises
+    grads = {"a": np.array([3.0, 4.0])}
+    with pytest.raises(ValueError, match="max_norm must be > 0"):
+        nn.clip_grads(grads, bad)
+    assert grads["a"].tolist() == [3.0, 4.0]
+    assert nn.clip_grads(grads, 0.5) == 5.0 and np.allclose(grads["a"], [0.3, 0.4])

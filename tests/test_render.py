@@ -856,6 +856,16 @@ def test_principal_point_range_ends():
             Camera(fx=1, fy=1, cx=cx, cy=cy, width=4, height=4, pose=Se3Pose.identity())
 
 
+def test_image_size_must_be_integers_of_at_least_one():
+    # 2.5, 3.0 and True constructed, and raycast_buffers then raised TypeError
+    for width, height in ((2.5, 4), (4, np.float64(3.0)), (True, 4), (4, False), (0, 4),
+                          (4, -1), (4.0, 4.0)):
+        with pytest.raises(ValueError, match="image size must be integers >= 1"):
+            Camera(fx=1, fy=1, cx=0, cy=0, width=width, height=height, pose=Se3Pose.identity())
+    cam = Camera(fx=1, fy=1, cx=0, cy=0, width=np.int64(3), height=1, pose=Se3Pose.identity())
+    assert cam.pixel_directions().shape == (1, 3, 3)
+
+
 def test_negative_insertions_rejected():
     with pytest.raises(ValueError, match=">= 0"):
         densify_rig(standard_rig(), -1)

@@ -49,15 +49,11 @@ MODULES = sorted((ROOT / "src" / "occkit").glob("*.py"))
 CALLER_MODULES = MODULES + sorted(p for p in (ROOT / "occbench").glob("*.py")
                                   if not p.name.startswith("test_"))
 
-_FORMAT = "reads or writes a documented file format; tests round-trip it"
 _METRIC = "a paper metric or condition map, kept for users of the library"
 _ORACLE = "a test oracle"
 _VALUE = "a constructor of a value type, kept with the type"
 
 ALLOWLIST: dict[str, str] = {
-    **{f"fileio.{name}": _FORMAT for name in (
-        "save_bevl", "load_bevl", "save_lpcd", "load_lpcd", "save_cbuf", "load_cbuf",
-        "save_plkb", "load_plkb")},
     "metrics.binary_iou": _METRIC,
     "core.LabelSchema.agent_channels": _METRIC,
     "metrics.channel_subset_mean": _METRIC,
