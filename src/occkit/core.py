@@ -376,10 +376,15 @@ class BevLayout:
         ys = oy + (np.arange(self.height) + 0.5) * self.resolution
         return np.meshgrid(xs, ys, indexing="ij")
 
+    def _channel_bit(self, channel: int) -> np.uint16:
+        """The bit of ``channel``, an integer in [0, channels) (not a bool)."""
+        if not (_is_int(channel) and 0 <= channel < self.channels):
+            raise ValueError(f"channel {channel!r} out of range: it must be an integer "
+                             f"in [0, {self.channels})")
+        return np.uint16(1 << int(channel))
+
     def channel_mask(self, channel: int) -> np.ndarray:
-        if not (0 <= channel < self.channels):
-            raise ValueError(f"channel {channel} out of range")
-        return (self.bits & np.uint16(1 << channel)) != 0
+        return (self.bits & self._channel_bit(channel)) != 0
 
     def matches_grid(self, spec: GridSpec) -> bool:
         """Same size, resolution and xy origin (that within 1e-6 of the half extent)."""
@@ -425,7 +430,8 @@ def layout_rasterize(
     (:meth:`OrientedBox.footprint_contains` for boxes, tested only on the cells
     within :attr:`OrientedBox.reach` of the centre; even-odd rule for polygons).
     Boxes route to channels through ``schema.layout_channel_map``; unmapped
-    classes are skipped. Polygons carry their channel explicitly.
+    classes are skipped. Polygons carry their channel explicitly. A channel
+    that is not an integer in [0, channels) raises ``ValueError``.
     """
     layout = BevLayout(width, height, resolution, channels)
     cx, cy = layout.cell_centers()
@@ -433,9 +439,7 @@ def layout_rasterize(
     xs, ys = cx[:, 0], cy[0]
 
     def set_channel(mask: np.ndarray, channel: int, cells=np.s_[:, :]) -> None:
-        if not (0 <= channel < channels):
-            raise ValueError(f"channel {channel} out of range")
-        layout.bits[cells][mask] |= np.uint16(1 << channel)
+        layout.bits[cells][mask] |= layout._channel_bit(channel)
 
     for box in boxes:
         channel = schema.layout_channel_map.get(box.class_id)

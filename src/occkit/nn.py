@@ -65,13 +65,10 @@ def silu_backward(dout: np.ndarray, cache) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"inner dims disagree: {x.shape[-1]} vs {w.shape[0]}")
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y, (x, w)
+    return x @ w + b, (x, w)
 
 
 def linear_backward(dout: np.ndarray, cache):

@@ -20,12 +20,12 @@ runs, so a layer's cache is freed as soon as its backward has run.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+from .core import _is_int
 from .losses import focal_loss, kl_standard_normal, lovasz_softmax
 from .nn import softmax  # by name: the benchmark traces vae.softmax
 
@@ -55,8 +55,7 @@ class VaeConfig:
         x, y, _ = self.grid_dims
         sizes = (*self.grid_dims, self.num_classes, self.spatial_downsample,
                  *self.hidden, self.attn_heads)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in sizes):
+        if not all(_is_int(v) for v in sizes):
             raise ValueError("sizes, widths and head counts must be integers")
         if not 0.0 <= self.kl_weight < math.inf:
             raise ValueError("kl_weight must be finite and >= 0")
@@ -70,11 +69,6 @@ class VaeConfig:
             raise ValueError("hidden needs at least one positive width")
         if self.attn_heads <= 0 or _stage_widths(self)[-1] % self.attn_heads:
             raise ValueError("attn_heads must divide the attention width")
-
-    @property
-    def latent_hw(self) -> tuple[int, int]:
-        return (self.grid_dims[0] // self.spatial_downsample,
-                self.grid_dims[1] // self.spatial_downsample)
 
     @property
     def num_down_stages(self) -> int:
@@ -105,10 +99,8 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, np.nd
 
     def attn(name, c):
         for axis in ("row", "col"):
-            for proj in ("wq", "wk", "wv"):
-                p[f"{name}.{axis}.{proj}"] = rng.normal(0, 1.0 / np.sqrt(c),
-                                                        size=(c, c))
-            p[f"{name}.{axis}.wo"] = rng.normal(0, 0.1 / np.sqrt(c), size=(c, c))
+            lin(f"{name}.{axis}.qkv", c, 3 * c)
+            lin(f"{name}.{axis}.o", c, c, std=0.1 / np.sqrt(c))
 
     widths = _stage_widths(cfg)
     p["embed"] = rng.normal(0, 1.0, size=(cfg.num_classes, CLASS_EMBED_DIM))
@@ -192,24 +184,17 @@ def _resblock(tape, p, name, x):
 
 
 def _attention(tape, p, name, seq, heads):
-    """Pre-normalized residual attention along axis 1 of ``seq``."""
+    """Pre-normalized residual attention along axis 1 of ``seq``: a branch of
+    layernorm, one fused q/k/v projection, attention and an output projection."""
+    branch: list = []
     xn, c_ln = nn.layernorm(seq)
-    projs = [nn.linear(xn, p[f"{name}.{proj}"]) for proj in ("wq", "wk", "wv")]
-    a, c_at = nn.masked_attention(*(y for y, _ in projs), heads)
-    o, co = nn.linear(a, p[f"{name}.wo"])
-
-    def step(d, grads):
-        da, dwo, _ = nn.linear_backward(d, co)
-        nn.accumulate(grads, f"{name}.wo", dwo)
-        dprojs = nn.masked_attention_backward(da, c_at)
-        dxn = np.zeros_like(dprojs[0])
-        for proj, (_, cache), dproj in zip(("wq", "wk", "wv"), projs, dprojs):
-            dx_part, dw, _ = nn.linear_backward(dproj, cache)
-            nn.accumulate(grads, f"{name}.{proj}", dw)
-            dxn += dx_part
-        return d + nn.layernorm_backward(dxn, c_ln)
-
-    tape.append(step)
+    branch.append(lambda d, grads: nn.layernorm_backward(d, c_ln))
+    qkv = _linear(branch, p, f"{name}.qkv", xn)
+    a, c_at = nn.masked_attention(*np.split(qkv, 3, axis=-1), heads)
+    branch.append(lambda d, grads: np.concatenate(nn.masked_attention_backward(d, c_at),
+                                                  axis=-1))
+    o = _linear(branch, p, f"{name}.o", a)
+    tape.append(lambda d, grads: d + _replay(branch, d, grads))
     return seq + o
 
 

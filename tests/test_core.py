@@ -508,6 +508,19 @@ class TestBoundaries:
             with pytest.raises(ValueError, match="out of range"):
                 layout.channel_mask(bad)
 
+    def test_a_channel_is_an_integer_not_a_bool_or_float(self):
+        # a bool would pass as channel 1, a float would reach 1 << 2.0, and
+        # 1 << np.uint8(9) is 0 in uint8
+        square = np.array([[-0.3, -0.3], [0.3, -0.3], [0.3, 0.3], [-0.3, 0.3]])
+        layout = layout_rasterize([], [(np.uint8(9), square)], 3, 2, 0.5, 12, SCHEMA)
+        assert layout.bits.tolist() == [[0, 0], [512, 512], [0, 0]]
+        assert layout.channel_mask(np.uint8(9)).tolist() == [[False] * 2, [True] * 2, [False] * 2]
+        for bad in (True, 2.0, 1.0):
+            with pytest.raises(ValueError, match="out of range: it must be an integer"):
+                layout.channel_mask(bad)
+            with pytest.raises(ValueError, match="out of range: it must be an integer"):
+                layout_rasterize([], [(bad, square)], 3, 2, 0.5, 12, SCHEMA)
+
     def test_free_class_bound(self):
         for free in (0, 5):
             assert LabelSchema(num_classes=6, free_class=free).free_class == free

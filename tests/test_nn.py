@@ -141,7 +141,7 @@ class TestLinear:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            nn.linear(np.zeros((2, 3)), np.zeros((4, 2)))
+            nn.linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
 
     def test_grad(self):
         rng = np.random.default_rng(1)
@@ -365,8 +365,8 @@ def vae_conv_shapes(monkeypatch) -> list:
     labels = np.random.default_rng(24).integers(
         0, cfg.num_classes, size=(2, *cfg.grid_dims))
     monkeypatch.setattr(nn, "conv2d", recording_conv2d)
-    vae.vae_encode_mean(params, cfg, labels)
-    vae.vae_reconstruct(params, cfg, np.zeros((2, *cfg.latent_hw, vae.LATENT_CHANNELS)))
+    z = vae.vae_encode_mean(params, cfg, labels)
+    vae.vae_reconstruct(params, cfg, np.zeros_like(z))
     monkeypatch.undo()
     return sorted(shapes)
 

@@ -62,7 +62,6 @@ ALLOWLIST: dict[str, str] = {
     "core.Se3Pose.identity": _VALUE,
     "core.Se3Pose.from_translation": _VALUE,
     "core.SemanticOccupancyGrid.full_free": _VALUE,
-    "vae.VaeConfig.latent_hw": "a property of the config: the latent grid's size, which the tests read",
 }
 
 # A public name that more than one class or module defines is matched by

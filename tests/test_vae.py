@@ -18,6 +18,8 @@ from test_nn import REFERENCE_LAYERS
 
 CFG = VaeConfig(grid_dims=(8, 8, 2), spatial_downsample=2, hidden=(8, 8, 8),
                 attn_heads=2)
+LATENT_HW = (CFG.grid_dims[0] // CFG.spatial_downsample,
+             CFG.grid_dims[1] // CFG.spatial_downsample)
 
 
 def tiny_batch(seed, batch=1):
@@ -30,7 +32,7 @@ def test_encode_mean_is_deterministic():
     labels = tiny_batch(1, batch=2)
     a = vae_encode_mean(params, CFG, labels)
     b = vae_encode_mean(params, CFG, labels.copy())
-    assert a.shape == (2, *CFG.latent_hw, vae.LATENT_CHANNELS)
+    assert a.shape == (2, *LATENT_HW, vae.LATENT_CHANNELS)
     assert a.tobytes() == b.tobytes()
     assert not np.array_equal(a, vae_encode_mean(params, CFG, tiny_batch(2, batch=2)))
 
@@ -102,8 +104,7 @@ def test_train_step_frees_caches_after_their_last_use():
 def test_a_tape_replays_once():
     params = init_vae_params(CFG, np.random.default_rng(21))
     grads = nn.zero_grads(params)
-    logits, tape = vae.vae_decode(params, CFG, np.zeros((1, *CFG.latent_hw,
-                                                        vae.LATENT_CHANNELS)))
+    logits, tape = vae.vae_decode(params, CFG, np.zeros((1, *LATENT_HW, vae.LATENT_CHANNELS)))
     vae.vae_decode_backward(grads, np.ones_like(logits), tape)
     assert tape == []
     with pytest.raises(ValueError, match="replays once"):
@@ -186,9 +187,10 @@ def test_train_step_loss_gradient_matches_finite_differences():
     cfg = dataclasses.replace(CFG, kl_weight=0.1)
     params = init_vae_params(cfg, np.random.default_rng(8))
     labels = tiny_batch(9, batch=2)
-    names = ["embed", "enc.stem.w", "enc.down0.w", "enc.res1.c2.w", "enc.attn.row.wq",
-             "enc.attn.col.wo", "enc.head.w", "dec.in.w", "dec.attn.row.wk",
-             "dec.up0.w", "dec.res0.c1.w", "dec.out.w", "dec.out.b"]
+    names = ["embed", "enc.stem.w", "enc.down0.w", "enc.res1.c2.w", "enc.attn.row.qkv.w",
+             "enc.attn.row.qkv.b", "enc.attn.col.o.w", "enc.head.w", "dec.in.w",
+             "dec.attn.row.qkv.w", "dec.attn.col.o.b", "dec.up0.w", "dec.res0.c1.w",
+             "dec.out.w", "dec.out.b"]
 
     def f(*tensors):
         grads = nn.zero_grads(params)
@@ -197,3 +199,26 @@ def test_train_step_loss_gradient_matches_finite_differences():
 
     tensors = [params[n] for n in names]
     assert nn.grad_check(f, tensors, rng=np.random.default_rng(11), max_coords=6) < 1e-5
+
+
+def test_attention_block_gradient_matches_finite_differences():
+    # one block replayed from its own tape, with random biases so that each shows
+    rng = np.random.default_rng(22)
+    params = init_vae_params(CFG, rng)
+    names = [f"enc.attn.row.{n}" for n in ("qkv.w", "qkv.b", "o.w", "o.b")]
+    weights = [rng.normal(size=params[n].shape) if n.endswith(".b") else params[n]
+               for n in names]
+
+    def f(x, *weights):
+        tape: list = []
+        block = dict(zip(names, weights))
+        y = vae._attention(tape, block, "enc.attn.row", x, CFG.attn_heads)
+
+        def backward(d):
+            grads = nn.zero_grads(block)
+            dx = vae._replay(tape, d, grads)
+            return [dx, *(grads[n] for n in names)]
+        return y, backward
+
+    x = rng.normal(size=(2, 3, 4, 8))
+    assert nn.grad_check(f, [x, *weights], eps=1e-5, rng=np.random.default_rng(23)) < 1e-5
