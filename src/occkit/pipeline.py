@@ -78,28 +78,27 @@ def voxelize_majority(
     stay free. The grid's labels are uint16.
     """
     labels = np.full(spec.dims, PanopticVoxelGrid.FREE_LABEL, dtype=np.uint16)
-    if len(cloud):
-        keep, flat = np.ones(len(cloud), dtype=bool), np.zeros(len(cloud), dtype=np.int64)
-        buf = np.empty(len(cloud))  # floor((p - origin) / voxel_size), a column at a time
-        for a, d in enumerate(spec.dims):
-            np.subtract(cloud.points[:, a], spec.origin[a], out=buf)
-            np.floor(np.divide(buf, spec.voxel_size, out=buf), out=buf)
-            keep &= (buf >= 0) & (buf < d)    # tested in float, before the cast
-            flat = flat * d + buf.astype(np.int64)
-        flat = flat[keep]
-        del buf
-        if len(flat):
-            lo, span = PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX - PANOPTIC_LABEL_MIN + 1
-            flat *= span
-            flat += cloud.labels[keep] - lo
-            keys, counts = np.unique(flat, return_counts=True)
-            del flat
-            vox = keys // span
-            starts = np.flatnonzero(np.r_[True, vox[1:] != vox[:-1]])
-            run_top = np.maximum.reduceat(counts, starts)
-            top = counts == np.repeat(run_top, np.diff(starts, append=len(keys)))
-            win = np.minimum.reduceat(np.where(top, np.arange(len(keys)), len(keys)), starts)
-            labels.reshape(-1)[vox[starts]] = keys[win] % span + lo
+    keep, flat = np.ones(len(cloud), dtype=bool), np.zeros(len(cloud), dtype=np.int64)
+    buf = np.empty(len(cloud))  # floor((p - origin) / voxel_size), a column at a time
+    for a, d in enumerate(spec.dims):
+        np.subtract(cloud.points[:, a], spec.origin[a], out=buf)
+        np.floor(np.divide(buf, spec.voxel_size, out=buf), out=buf)
+        keep &= (buf >= 0) & (buf < d)    # tested in float, before the cast
+        flat = flat * d + buf.astype(np.int64)
+    flat = flat[keep]
+    del buf
+    if len(flat):
+        lo, span = PANOPTIC_LABEL_MIN, PANOPTIC_LABEL_MAX - PANOPTIC_LABEL_MIN + 1
+        flat *= span
+        flat += cloud.labels[keep] - lo
+        keys, counts = np.unique(flat, return_counts=True)
+        del flat
+        vox = keys // span
+        starts = np.flatnonzero(np.r_[True, vox[1:] != vox[:-1]])
+        run_top = np.maximum.reduceat(counts, starts)
+        top = counts == np.repeat(run_top, np.diff(starts, append=len(keys)))
+        win = np.minimum.reduceat(np.where(top, np.arange(len(keys)), len(keys)), starts)
+        labels.reshape(-1)[vox[starts]] = keys[win] % span + lo
     grid = PanopticVoxelGrid(spec, labels)
     grid.validate(schema)
     return grid

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, LabelSchema, Se3Pose, SemanticOccupancyGrid, _is_int
+from .core import LabelSchema, Se3Pose, SemanticOccupancyGrid, _is_int
 
 BASE_ROLES = ("FL", "F", "FR", "BR", "B", "BL")
 
@@ -126,8 +126,7 @@ def plucker_embedding(directions: np.ndarray, origin: np.ndarray) -> np.ndarray:
 
 
 def raycast_grid(
-    labels: np.ndarray,
-    spec: GridSpec,
+    grid: SemanticOccupancyGrid,
     origins: np.ndarray,
     dirs: np.ndarray,
     max_range: float | np.ndarray,
@@ -149,22 +148,20 @@ def raycast_grid(
       visits the voxels between.
     * Range: a voxel counts when the ray enters it at ``t <= max_range``, a
       scalar or one value per ray, shape (N,) (another shape: ``ValueError``).
-    * Rays need finite origins and finite, non-zero directions, and the
-      labels need shape ``spec.dims``; others raise ``ValueError``.
+    * Rays need finite origins and finite, non-zero directions; others
+      raise ``ValueError``.
 
     Results are bit-identical to the reference traversal kept in the tests.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     n = len(origins)
-    if np.shape(labels) != tuple(spec.dims):
-        raise ValueError(f"labels shape {np.shape(labels)} != dims {spec.dims}")
     t_lim = np.asarray(max_range, dtype=np.float64)
     if t_lim.shape not in ((), (n,)):
         raise ValueError(f"max_range must be a scalar or have shape ({n},), not {t_lim.shape}")
-    dims = np.asarray(spec.dims)[:, None]
-    g0 = np.asarray(spec.origin)[:, None]
-    vox = spec.voxel_size
+    dims = np.asarray(grid.spec.dims)[:, None]
+    g0 = np.asarray(grid.spec.origin)[:, None]
+    vox = grid.spec.voxel_size
     g1 = g0 + dims * vox
     # Per-ray state is one contiguous row per axis, (3, N).
     o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
@@ -199,7 +196,7 @@ def raycast_grid(
     # of 2: a ray that steps out of the grid reads 2, so no step needs a
     # bounds test.
     occ = np.full(dims[:, 0] + 2, 2, dtype=np.uint8)
-    np.not_equal(labels, free_class, out=occ[1:-1, 1:-1, 1:-1].view(bool))
+    np.not_equal(grid.labels, free_class, out=occ[1:-1, 1:-1, 1:-1].view(bool))
     strides = np.array([[occ.shape[1] * occ.shape[2]], [occ.shape[2]], [1]])
     cell = strides[:, 0] @ (iv + 1)
     ts = np.where(d > 0, strides, -strides).ravel()
@@ -242,7 +239,7 @@ _SLOPE_UNIT = 2.0 ** -20
 _SLOPE_CAP = 2 ** 40
 
 
-def _height_limit(labels: np.ndarray, spec: GridSpec, origin: np.ndarray, dirs: np.ndarray,
+def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndarray,
                   max_range: float, free_class: int) -> np.ndarray:
     """Per-ray ``t`` past which every voxel the traversal enters is free.
 
@@ -272,8 +269,8 @@ def _height_limit(labels: np.ndarray, spec: GridSpec, origin: np.ndarray, dirs: 
     Slopes compare as int64 multiples of ``_SLOPE_UNIT``, ``S`` rounded up
     and ``s`` down.
     """
-    vox, (nx, ny, nz) = spec.voxel_size, spec.dims
-    g0, o = np.asarray(spec.origin), np.asarray(origin, dtype=np.float64)
+    vox, (nx, ny, nz) = grid.spec.voxel_size, grid.spec.dims
+    g0, o = np.asarray(grid.spec.origin), np.asarray(origin, dtype=np.float64)
     dx, dy, dz = dirs.T
     dxy = np.hypot(dx, dy)
     lo, hi = g0[:2] - o[:2], g0[:2] + np.array([nx, ny]) * vox - o[:2]
@@ -295,7 +292,7 @@ def _height_limit(labels: np.ndarray, spec: GridSpec, origin: np.ndarray, dirs: 
     # Tops of the grid's columns within r of a sample, framed by r + 1 columns.
     x0, y0 = int(max(fx.min() - r, 0)), int(max(fy.min() - r, 0))
     x1, y1 = max(int(min(fx.max() + r + 1, nx)), x0), max(int(min(fy.max() + r + 1, ny)), y0)
-    nonfree = labels[x0:x1, y0:y1] != free_class
+    nonfree = grid.labels[x0:x1, y0:y1] != free_class
     a = nonfree[:, :, ::-1].argmax(axis=2)
     p = r + 1
     top = np.zeros((x1 - x0 + 2 * p, y1 - y0 + 2 * p), dtype=np.intp)
@@ -337,10 +334,8 @@ def raycast_buffers(
         raise ValueError("max_range must be positive")
     dirs = cam.pixel_directions()
     flat = dirs.reshape(-1, 3)
-    limit = _height_limit(grid.labels, grid.spec, cam.center(), flat, max_range,
-                          schema.free_class)
-    hit, iv = raycast_grid(grid.labels, grid.spec,
-                           np.broadcast_to(cam.center(), flat.shape), flat,
+    limit = _height_limit(grid, cam.center(), flat, max_range, schema.free_class)
+    hit, iv = raycast_grid(grid, np.broadcast_to(cam.center(), flat.shape), flat,
                            np.minimum(max_range, limit), schema.free_class)
     h, w = cam.height, cam.width
     iv = iv[hit]

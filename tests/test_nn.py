@@ -373,12 +373,12 @@ def vae_conv_shapes(monkeypatch) -> list:
 
 def strided_conv_as_linear(x, w, b):
     """The VAE's down-sampling: a 2x2 stride-2 conv as linear(space_to_depth)."""
-    return nn.linear(nn.space_to_depth(x, 2), w.reshape(-1, w.shape[-1]), b)
+    return nn.linear(nn.space_to_depth(x), w.reshape(-1, w.shape[-1]), b)
 
 
 def strided_conv_as_linear_backward(dout, cache):
     dcols, dw, db = nn.linear_backward(dout, cache)
-    return nn.depth_to_space(dcols, 2), dw, db
+    return nn.depth_to_space(dcols), dw, db
 
 
 class TestConvPool:
@@ -497,7 +497,7 @@ class TestConvPool:
     def test_space_depth_round_trip(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(2, 4, 6, 3))
-        assert np.array_equal(nn.depth_to_space(nn.space_to_depth(x, 2), 2), x)
+        assert np.array_equal(nn.depth_to_space(nn.space_to_depth(x)), x)
 
 
 def numpy_blas() -> str:

@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from occkit.render import (
     standard_rig,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "occbench"))
+from bench_checks import sampled_first_hit  # noqa: E402
+
 SCHEMA = LabelSchema()
 
 
@@ -27,39 +32,6 @@ def make_camera(pose=None, fx=10.0, width=9, height=7):
     # cx/cy at a pixel center so the principal ray is exactly axis-aligned
     return Camera(fx=fx, fy=fx, cx=4.5, cy=3.5, width=width, height=height,
                   pose=pose or Se3Pose.identity(), role="F")
-
-
-def sampling_first_hit(labels, spec, origins, dirs, max_range, free, substeps=50):
-    """Stride-based first-hit oracle with a no-skip certificate.
-
-    Samples every voxel_size/substeps along each ray and reports the
-    first sample inside a non-free voxel. A ray is certified when every
-    consecutive sample pair up to (and including) the reporting sample
-    moved by at most one voxel along one axis: a straight segment that
-    crosses at most one boundary plane cannot have skipped any voxel,
-    so on certified rays the sampled first hit is the true first hit.
-    """
-    origins = np.asarray(origins, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    ts = np.arange(0.0, max_range, spec.voxel_size / substeps)
-    ps = origins[:, None, :] + ts[None, :, None] * dirs[:, None, :]
-    iv = np.floor((ps - np.asarray(spec.origin)) / spec.voxel_size).astype(np.int64)
-    dims = np.asarray(spec.dims)
-    inb = np.all((iv >= 0) & (iv < dims), axis=-1)
-    labs = np.full(inb.shape, free, dtype=np.int64)
-    sel = np.nonzero(inb)
-    labs[sel] = labels[iv[sel][:, 0], iv[sel][:, 1], iv[sel][:, 2]]
-    nonfree = labs != free
-    has_hit = nonfree.any(axis=1)
-    first = np.where(has_hit, nonfree.argmax(axis=1), len(ts) - 1)
-    skipped = np.abs(np.diff(iv, axis=1)).sum(axis=-1) > 1
-    bad_prefix = np.concatenate(
-        [np.zeros((len(origins), 1), dtype=bool),
-         np.maximum.accumulate(skipped, axis=1)], axis=1)
-    certified = np.where(has_hit, ~bad_prefix[np.arange(len(origins)), first],
-                         ~bad_prefix[:, -1])
-    hit_iv = iv[np.arange(len(origins)), first]
-    return has_hit, hit_iv, certified
 
 
 def reference_raycast_grid(
@@ -294,20 +266,22 @@ class TestRaycast:
         origins = np.array([(0.0, 0.0, 0.0), origin])
         dirs = np.array([(1.0, 0.0, 0.0), direction])
         with pytest.raises(ValueError, match="finite, non-zero directions"):
-            raycast_grid(labels, spec, origins, dirs, np.inf, SCHEMA.free_class)
+            raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, np.inf,
+                         SCHEMA.free_class)
 
     def test_labels_of_another_shape_rejected(self):
-        # (1, 3, 2) labels used to broadcast over x: a hit at [0, 1, 0] in a 4-wide grid
+        # (1, 3, 2) labels used to broadcast over x: a hit at [0, 1, 0] in a
+        # 4-wide grid; the grid type, which raycast_grid takes, rejects them
         spec = GridSpec(dims=(4, 3, 2), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
         labels = np.zeros((4, 3, 2), dtype=np.uint8)
         labels[0, 1, 0] = 1
-        args = spec, [[-1.0, 1.5, 0.5]], [[1.0, 0.0, 0.0]], 10.0, 0
-        hit, iv = raycast_grid(labels, *args)
+        hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), [[-1.0, 1.5, 0.5]],
+                               [[1.0, 0.0, 0.0]], 10.0, 0)
         assert hit.tolist() == [True] and iv.tolist() == [[0, 1, 0]]
         for bad, shape in ((labels[:1], "1, 3, 2"), (labels[:, :, :1], "4, 3, 1"),
                            (labels.reshape(2, 6, 2), "2, 6, 2")):
             with pytest.raises(ValueError, match=rf"labels shape \({shape}\) != dims \(4, 3, 2\)"):
-                raycast_grid(bad, *args)
+                SemanticOccupancyGrid(spec, bad)
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(42)
@@ -323,10 +297,9 @@ class TestRaycast:
             targets = rng.uniform(-3.0, 3.0, size=(400, 3))
             dirs = targets - origins
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            hit, iv = raycast_grid(labels, spec, origins, dirs, 60.0,
-                                   SCHEMA.free_class)
-            ohit, oiv, cert = sampling_first_hit(labels, spec, origins, dirs,
-                                                 60.0, SCHEMA.free_class)
+            hit, iv = raycast_grid(grid, origins, dirs, 60.0, SCHEMA.free_class)
+            ohit, oiv, cert = sampled_first_hit(labels, spec, origins, dirs,
+                                                60.0, SCHEMA.free_class, substeps=50)
             total += int(cert.sum())
             agree = (hit == ohit) & (~hit | np.all(iv == oiv, axis=1))
             mism += int((cert & ~agree).sum())
@@ -380,7 +353,7 @@ def assert_same_traversal(labels, spec, origins, dirs, max_range, free):
     Returns the hit mask and the reference's entry distance, ``inf`` on a
     miss, which ``raycast_grid`` does not return.
     """
-    hit, iv = raycast_grid(labels, spec, origins, dirs, max_range, free)
+    hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, max_range, free)
     rhit, riv, rt = reference_raycast_grid(labels, spec, origins, dirs,
                                            max_range, free)
     assert np.array_equal(hit, rhit)
@@ -450,6 +423,7 @@ class TestRaycastOracle:
                    * spec.voxel_size)
         origins = np.repeat(corners, len(LATTICE_DIRS), axis=0)
         dirs = np.tile(LATTICE_DIRS, (len(corners), 1))
+        grid = SemanticOccupancyGrid(spec, labels)
         for max_range in (0.0, 0.4, 1.0, np.inf):
             assert_same_traversal(labels, spec, origins, dirs, max_range, free)
         assert_same_traversal(np.full(spec.dims, free), spec, origins, dirs,
@@ -458,14 +432,14 @@ class TestRaycastOracle:
         # tie rule steps the lowest axis, even one the ray does not move along
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hit, iv = raycast_grid(labels, spec, origins, dirs * 5e-324, np.inf, free)
+            hit, iv = raycast_grid(grid, origins, dirs * 5e-324, np.inf, free)
         with np.errstate(over="ignore"):  # the oracle's overflow to inf is the case
             rhit, riv, _ = reference_raycast_grid(labels, spec, origins, dirs * 5e-324,
                                                   np.inf, free)
         assert np.array_equal(hit, rhit) and np.array_equal(iv, riv)
         assert hit.any()
         empty = np.zeros((0, 3))
-        hit, iv = raycast_grid(labels, spec, empty, empty, 5.0, free)
+        hit, iv = raycast_grid(grid, empty, empty, 5.0, free)
         assert hit.shape == (0,) and iv.shape == (0, 3)
 
     def test_input_layouts(self):
@@ -555,8 +529,7 @@ def assert_culled_buffers_exact(grid, cam, max_range):
     semantic = np.full(len(hit), SCHEMA.free_class, dtype=np.int64)
     semantic[hit] = grid.labels[tuple(iv[hit].T)]
     assert np.array_equal(buf.semantic.ravel(), semantic)
-    limit = _height_limit(grid.labels, grid.spec, cam.center(), dirs, max_range,
-                          SCHEMA.free_class)
+    limit = _height_limit(grid, cam.center(), dirs, max_range, SCHEMA.free_class)
     return float(np.mean(limit < max_range))
 
 
@@ -641,8 +614,8 @@ class TestHeightCull:
         cam = posed_camera((0.1, 0.2, 0.3), 0.5, 0.7)
         dirs = cam.pixel_directions().reshape(-1, 3)
         assert np.all(dirs[:, 2] > 0)
-        assert np.all(_height_limit(np.full(self.SPEC.dims, SCHEMA.free_class), self.SPEC,
-                                    cam.center(), dirs, np.inf, SCHEMA.free_class) == 0.0)
+        empty = SemanticOccupancyGrid.full_free(self.SPEC, SCHEMA)
+        assert np.all(_height_limit(empty, cam.center(), dirs, np.inf, SCHEMA.free_class) == 0.0)
 
     def test_a_camera_exactly_slack_above_the_ground(self):
         """The camera's height equals the first sample's ``H``, so the
@@ -721,8 +694,7 @@ class TestHeightCull:
         limited = rays = 0
         for cam in rig.cameras:
             dirs = cam.pixel_directions().reshape(-1, 3)
-            limit = _height_limit(grid.labels, spec, cam.center(), dirs, 60.0,
-                                  SCHEMA.free_class)
+            limit = _height_limit(grid, cam.center(), dirs, 60.0, SCHEMA.free_class)
             limited += int(np.sum(limit < 60.0))
             rays += len(dirs)
         assert limited >= 0.3 * rays and min(cut) > 0.0
@@ -750,14 +722,15 @@ def test_per_ray_range_equals_one_call_per_ray():
     origins = rng.uniform(-3.5, 3.5, (n, 3))
     dirs = rng.normal(size=(n, 3))
     ranges = rng.choice([0.0, 0.4, 1.7, 3.1, 8.0, np.inf], n) * rng.uniform(0.5, 1.5, n)
-    hit, iv = raycast_grid(labels, spec, origins, dirs, ranges, 9)
+    grid = SemanticOccupancyGrid(spec, labels)
+    hit, iv = raycast_grid(grid, origins, dirs, ranges, 9)
     assert 0 < hit.sum() < n
     for i in range(n):
-        one = raycast_grid(labels, spec, origins[i:i + 1], dirs[i:i + 1], float(ranges[i]), 9)
+        one = raycast_grid(grid, origins[i:i + 1], dirs[i:i + 1], float(ranges[i]), 9)
         assert one[0][0] == hit[i] and np.array_equal(one[1][0], iv[i])
     for bad in (ranges[:-1], ranges[:, None], ranges[:1], np.append(ranges, 1.0)):
         with pytest.raises(ValueError, match="max_range"):
-            raycast_grid(labels, spec, origins, dirs, bad, 9)
+            raycast_grid(grid, origins, dirs, bad, 9)
 
 
 def _look_yaw(yaw: float) -> Se3Pose:

@@ -83,8 +83,6 @@ DEFAULTS_ALLOWLIST: dict[str, str] = {
     **{f"nn.grad_check({name})": _TUNED for name in ("eps", "rng", "max_coords")},
     **{f"vae.VaeConfig({name})": "the benchmark's and the VAE's tests shrink the model with it"
        for name in ("hidden", "attn_heads")},
-    "vae.VaeConfig(kl_weight)": ("the finite-difference test of the train step raises it: "
-                                 "at the default 1e-4 a wrong KL gradient stays below the bound"),
     "core.panoptic_encode(schema)": "its stuff/free rule depends on the schema",
 }
 
