@@ -7,26 +7,32 @@ Woo 1987) that visits exactly the voxels the ray pierces, in order; the
 first non-free voxel within range defines the semantic and coordinate
 buffers.
 
-The traversal takes nearly all of a rig render, and its cost is the cost
-of one vectorized step times the number of steps. The entry set-up and
-the step keep one contiguous row per axis, and the step reads an
-occupancy array framed by a border, so it needs no bounds test. The
-occupancy array is rebuilt in every call. The step's axis is
-``y + z * (2 - y)`` of the 0/1 tests ``y = ty < tx`` and
-``z = tz < min(tx, ty)``: z, else y, else x, so ties go to the lowest axis.
+The traversal takes most of a rig render, and its cost is the cost of one
+vectorized step times the number of steps. The crossing time of each
+boundary plane comes from one closed form, worked out afresh at each
+step, not accumulated, so the state the traversal holds at any ``t`` can
+be computed directly: a ray can start late in the very state that
+stepping would have reached. The set-up and the step keep one contiguous
+row per axis, and the step reads an occupancy array framed by a border,
+so it needs no bounds test. The occupancy array is rebuilt in every call.
+The step's axis is ``y + z * (2 - y)`` of the 0/1 tests ``y = ty < tx``
+and ``z = tz < min(tx, ty)``: z, else y, else x, so ties go to the lowest
+axis.
 
-``raycast_buffers`` stops each ray once it is above every column top it
-can still reach (the height-field bound of terrain ray casting, Cohen &
-Shaked 1993). The rays of a call share an origin, so one height profile
-per azimuth bin serves them all, and each ray finds its limit by one
-binary search. On a 24-camera, 160x90 rig over the standard 256x256x25
-grid, live voxel steps per ray fell from 73.5 to 29.0 and loop iterations
-per call from 224 to 180. A call now splits into cull 2.4-2.5 ms (column
-tops about 0.9), entry 1.2-1.3, occupancy 0.9 and loop 8.7-9.0 ms, where
-the loop took 16.4-17.0 ms without the cull (median camera, best of 7,
-2-core host). Leaping 8x8x1 empty bricks was bit-identical but 1.44x
-slower in numpy, from about 25 k switches per camera between leaping and
-stepping.
+``raycast_buffers`` gives each ray two limits from the column tops, the
+height-field bound of terrain ray casting (Cohen & Shaked 1993) read from
+both sides: a ray starts where it can first come within reach of a column
+top, and stops once it is above every column top it can still reach. The
+rays of a call share an origin, so one height profile per azimuth bin
+serves them all, and each ray finds each limit by one binary search. On a
+24-camera, 160x90 rig over the standard 256x256x25 grid, live voxel steps
+per ray fell from 73.5 to 29.0 with the stop and to 1.5-1.8 with the
+start; loop iterations per call fell from 224 to 180 to 100-106. A call
+now splits into limits 2.5-2.6 ms, entry times 0.6, entry and restart
+state 0.6, occupancy 0.65 and loop 3.3-3.4 ms, where the loop took
+8.7-9.0 ms with the stop alone (median camera, best of 7, 2-core host).
+Leaping 8x8x1 empty bricks was bit-identical but 1.44x slower in numpy,
+from about 25 k switches per camera between leaping and stepping.
 
 ``scipy.spatial.transform`` (rotation interpolation) loads on the first
 ``densify_rig`` call of a process, not at import: about 0.4 s and 37 MB of
@@ -129,6 +135,7 @@ def raycast_grid(
     grid: SemanticOccupancyGrid,
     origins: np.ndarray,
     dirs: np.ndarray,
+    start: float | np.ndarray,
     max_range: float | np.ndarray,
     free_class: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,27 +145,43 @@ def raycast_grid(
     next voxel it pierces. Returns (hit (N,), voxel index (N, 3), zero on a
     miss); ray parameters ``t`` below are in units of ``|dir|``.
 
-    * Entry: a ray starts at ``t = max(t_grid_enter, 0)`` in the voxel
-      holding that point, clipped into the grid; a ray from inside the
-      grid starts in its origin's voxel at ``t = 0``. A ray that misses
-      the grid's box, or enters it beyond ``max_range``, misses.
+    * Time rule: the ray crosses plane ``P`` of axis ``a``, the voxel
+      boundary at ``g0[a] + P*vox``, at ``((g0[a] + P*vox) - o[a]) / d[a]``,
+      worked out afresh for each plane; along an axis with ``d[a] = 0`` every
+      crossing time is ``inf``.
+    * Entry: the entry state is the voxel holding the ray's point at
+      ``t_enter = max(t_grid_enter, 0)``, clipped into the grid, and per axis
+      the next plane past it; a ray from inside the grid starts in its
+      origin's voxel.
+    * Start: the ray begins at ``T = max(t_enter, start)``, in the entry
+      state if ``start <= t_enter``. Otherwise its state there is the one
+      the rule reaches from the entry state by every crossing earlier than
+      ``T``: per axis, the first plane whose time is ``>= T``, or the entry
+      plane if that is later. The caller promises that every voxel the rule
+      enters before ``start`` is free, so the voxels skipped change no
+      answer. ``start`` is a scalar or one value per ray, shape (N,). A ray
+      whose ``T`` lies past its grid exit or its ``max_range`` misses.
     * Ties: the ray steps across the nearest voxel boundary; when two or
       three boundary times are equal, the lowest axis (x, then y, then z)
       steps first, one voxel per step, so a ray through an edge or corner
       visits the voxels between.
     * Range: a voxel counts when the ray enters it at ``t <= max_range``, a
-      scalar or one value per ray, shape (N,) (another shape: ``ValueError``).
+      scalar or one value per ray, shape (N,). A ``start`` or ``max_range``
+      of another shape raises ``ValueError``.
     * Rays need finite origins and finite, non-zero directions; others
       raise ``ValueError``.
 
-    Results are bit-identical to the reference traversal kept in the tests.
+    Results are bit-identical to the reference traversal kept in the tests,
+    which steps every ray from its entry.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     n = len(origins)
+    t_start = np.asarray(start, dtype=np.float64)
     t_lim = np.asarray(max_range, dtype=np.float64)
-    if t_lim.shape not in ((), (n,)):
-        raise ValueError(f"max_range must be a scalar or have shape ({n},), not {t_lim.shape}")
+    for name, value in (("start", t_start), ("max_range", t_lim)):
+        if value.shape not in ((), (n,)):
+            raise ValueError(f"{name} must be a scalar or have shape ({n},), not {value.shape}")
     dims = np.asarray(grid.spec.dims)[:, None]
     g0 = np.asarray(grid.spec.origin)[:, None]
     vox = grid.spec.voxel_size
@@ -179,18 +202,41 @@ def raycast_grid(
     lo_t = np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(ta, tb))
     hi_t = np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb))
     t_enter = np.maximum(lo_t.max(axis=0), 0.0)
+    t_begin = np.maximum(t_enter, t_start)
     t_exit = hi_t.min(axis=0)
-    active = np.nonzero((t_enter <= t_exit) & (t_enter <= t_lim))[0]
+    # a ray that could enter only at t = inf (all its slab times overflow) misses
+    active = np.nonzero((t_begin <= t_exit) & (t_begin <= t_lim) & (t_begin < np.inf))[0]
     if len(active) == 0:
         return hit, hit_iv
 
-    o, d, t_cur = o.take(active, axis=1), d.take(active, axis=1), t_enter[active]
+    o, d = o.take(active, axis=1), d.take(active, axis=1)
+    t_enter, t_begin = t_enter[active], t_begin[active]
     t_lim = np.broadcast_to(t_lim, (n,))[active]
-    iv = np.clip(np.floor((o + t_cur * d - g0) / vox).astype(np.int64), 0, dims - 1)
-    boundary = g0 + (iv + (d > 0)) * vox
+    up, sgn = d > 0, np.sign(d)
+    entry = np.clip(np.floor((o + t_enter * d - g0) / vox), 0, dims - 1) + up
+    # The restart: per axis, an estimate of the first plane whose time is >=
+    # t_begin, one fix-up round each way (time is monotone in the plane), then
+    # the later of it and the entry plane. A plane counts as crossed when its
+    # time is below ``skip``, and none does where start <= t_enter, which
+    # leaves the entry state.
+    skip = np.where(t_begin > t_enter, t_begin, -np.inf)
+    p = (o + t_begin * d - g0) / vox
+    p = np.where(up, np.ceil(p), np.floor(p))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tm = np.where(d != 0, (boundary - o) / d, np.inf).ravel()
-        td = np.where(d != 0, vox / np.abs(d), np.inf).ravel()
+        p = np.where(((g0 + (p - sgn) * vox) - o) / d < skip, p, p - sgn)
+        p = np.where(((g0 + p * vox) - o) / d < skip, p + sgn, p)
+    p = np.where(sgn * (p - entry) > 0, p, entry)
+    del entry, skip, sgn
+
+    # Plane coordinates, one row per axis laid end to end; ``q`` indexes each
+    # ray's next plane per axis. An axis with d = 0 keeps its time at inf: its
+    # origin reads -inf and its direction 1.
+    planes = np.concatenate([g0[a] + np.arange(dims[a, 0] + 1) * vox for a in range(3)])
+    q = (p + np.cumsum(dims + 1, axis=0) - (dims + 1)).astype(np.int64).ravel()
+    o = np.where(d == 0, -np.inf, o).ravel()
+    d = np.where(d == 0, 1.0, d).ravel()
+    with np.errstate(over="ignore"):
+        tm = (planes.take(q) - o) / d
 
     # Labels become an occupancy array (0 free, 1 occupied) framed by a border
     # of 2: a ray that steps out of the grid reads 2, so no step needs a
@@ -198,35 +244,40 @@ def raycast_grid(
     occ = np.full(dims[:, 0] + 2, 2, dtype=np.uint8)
     np.not_equal(grid.labels, free_class, out=occ[1:-1, 1:-1, 1:-1].view(bool))
     strides = np.array([[occ.shape[1] * occ.shape[2]], [occ.shape[2]], [1]])
-    cell = strides[:, 0] @ (iv + 1)
-    ts = np.where(d > 0, strides, -strides).ravel()
+    cell = strides[:, 0] @ (p - up + 1).astype(np.int64)
+    ts = np.where(up, strides, -strides).ravel()
+    qs = np.where(up, 1, -1).ravel()
+    del p, up
     hit_cell = np.zeros(n, dtype=np.int64)
     m = n_live = len(active)
     live, ray = np.ones(m, dtype=bool), np.arange(m)
-    while n_live:
-        if n_live <= 0.75 * m:  # compact once a quarter of the rays are done
-            active, cell, t_lim = active[live], cell[live], t_lim[live]
-            tm, td, ts = (a.reshape(3, m).compress(live, axis=1).ravel()
-                          for a in (tm, td, ts))
-            m, live, ray = n_live, np.ones(n_live, dtype=bool), np.arange(n_live)
-        v = occ.take(cell, mode="clip")  # done rays may have walked off the array
-        found = (v == 1) & live
-        if found.any():
-            ridx = active[found]
-            hit[ridx] = True
-            hit_cell[ridx] = cell[found]
-        live &= v == 0
-        tx, ty, tz = tm.reshape(3, m)
-        # (axis, ray) of the nearest boundary by the axis rule above; np.intp(m)
-        # keeps the uint8 product from overflowing
-        txy = np.minimum(tx, ty)
-        y, z = (ty < tx).view(np.uint8), (tz < txy).view(np.uint8)
-        k = ray + (y + z * (2 - y)) * np.intp(m)
-        t_cur = np.minimum(txy, tz)
-        tm[k] = t_cur + td.take(k)
-        cell += ts.take(k)
-        live &= t_cur <= t_lim
-        n_live = np.count_nonzero(live)
+    with np.errstate(over="ignore"):  # directions of subnormal size
+        while n_live:
+            if n_live <= 0.75 * m:  # compact once a quarter of the rays are done
+                active, cell, t_lim = active[live], cell[live], t_lim[live]
+                tm, q, qs, ts, o, d = (a.reshape(3, m).compress(live, axis=1).ravel()
+                                       for a in (tm, q, qs, ts, o, d))
+                m, live, ray = n_live, np.ones(n_live, dtype=bool), np.arange(n_live)
+            v = occ.take(cell, mode="clip")  # done rays may have walked off the array
+            found = (v == 1) & live
+            if found.any():
+                ridx = active[found]
+                hit[ridx] = True
+                hit_cell[ridx] = cell[found]
+            live &= v == 0
+            tx, ty, tz = tm.reshape(3, m)
+            # (axis, ray) of the nearest boundary by the axis rule above; np.intp(m)
+            # keeps the uint8 product from overflowing
+            txy = np.minimum(tx, ty)
+            y, z = (ty < tx).view(np.uint8), (tz < txy).view(np.uint8)
+            k = ray + (y + z * (2 - y)) * np.intp(m)
+            t_cur = np.minimum(txy, tz)
+            qk = q.take(k) + qs.take(k)
+            q[k] = qk  # done rays may step past their axis's planes, so "clip"
+            tm[k] = (planes.take(qk, mode="clip") - o.take(k)) / d.take(k)
+            cell += ts.take(k)
+            live &= t_cur <= t_lim
+            n_live = np.count_nonzero(live)
     hit_iv[hit] = np.transpose(np.unravel_index(hit_cell[hit], occ.shape)) - 1
     return hit, hit_iv
 
@@ -240,8 +291,9 @@ _SLOPE_CAP = 2 ** 40
 
 
 def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndarray,
-                  max_range: float, free_class: int) -> np.ndarray:
-    """Per-ray ``t`` past which every voxel the traversal enters is free.
+                  max_range: float, free_class: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ray ``(start, stop)``: every voxel the traversal enters at a ``t``
+    before ``start`` or past ``stop`` is free.
 
     Rays leave ``origin``; at horizontal distance ``rho = t |dxy|`` a ray is
     at height ``Oz + s rho``, ``s = dz / |dxy|``. ``top`` counts each
@@ -252,22 +304,26 @@ def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndar
     corner)``, sample j covering ``[rho_j - v/2, rho_j + v/2]``. With
     ``H_j = z0 + (top + slack) v`` there, ``sigma_j``, the largest slope
     that reaches ``H_j`` over sample j, is ``(H_j - Oz) / rho_lo`` if
-    ``H_j >= Oz``, else ``(H_j - Oz) / rho_hi``; ``S_j`` is its suffix
-    maximum. A ray of slope ``s`` stops at ``rho_lo(j*) / |dxy|``, j* the
-    first sample with ``S_j* < s``. A vertical ray, and every ray of a
-    camera so far away that ``R`` passes the grid's side, keeps ``inf``.
+    ``H_j >= Oz``, else ``(H_j - Oz) / rho_hi``; ``M_j`` is its prefix
+    maximum and ``S_j`` its suffix maximum. A ray of slope ``s`` starts at
+    ``rho_lo(j_s) / |dxy|``, j_s the first sample with ``M_j_s >= s``
+    (``inf`` if none), and stops at ``rho_lo(j*) / |dxy|``, j* the first
+    sample with ``S_j* < s``. A vertical ray, and every ray of a camera so
+    far away that ``R`` passes the grid's side, keeps ``(0, inf)``.
 
-    Why the limit is exact. Let ``d = slack v``. (a) The voxel the traversal
-    enters at ``t`` holds the ray's point at ``t`` up to ``d``: the rounding
-    there and here is a few hundred ulps of coordinates under 10^6 voxels.
-    (b) At ``rho`` in sample j's span a ray of the bin lies within ``v/2 +
-    rho_max dphi/2`` of the sample point, so a voxel within ``d`` of it is
-    in a column within ``R v`` of the sample's. (c) From ``rho_lo(j*)`` on
-    the ray is above every later ``H_j`` (``s > S_j >= sigma_j``), so such a
-    voxel is at or above its column's top: free. Samples may start at the
-    grid's nearest column, as a limit never falls before the first one.
-    Slopes compare as int64 multiples of ``_SLOPE_UNIT``, ``S`` rounded up
-    and ``s`` down.
+    Why the limits are exact. Let ``d = slack v``. (a) The voxel the
+    traversal enters at ``t`` holds the ray's point at ``t`` up to ``d``: the
+    rounding there and here is a few hundred ulps of coordinates under 10^6
+    voxels. (b) At ``rho`` in sample j's span a ray of the bin lies within
+    ``v/2 + rho_max dphi/2`` of the sample point, so a voxel within ``d`` of
+    it is in a column within ``R v`` of the sample's. (c) The ray is above
+    ``H_j`` over the span of every sample with ``s > sigma_j``: from
+    ``rho_lo(j*)`` on, every later sample (``s > S_j >= sigma_j``), and
+    before ``rho_lo(j_s)``, every earlier one (``s > M_j >= sigma_j``). So
+    such a voxel is at or above its column's top: free. Samples may start
+    at the grid's nearest column: no voxel lies nearer, and a stop never
+    falls before the first one. Slopes compare as int64 multiples of
+    ``_SLOPE_UNIT``, ``sigma`` rounded up and ``s`` down.
     """
     vox, (nx, ny, nz) = grid.spec.voxel_size, grid.spec.dims
     g0, o = np.asarray(grid.spec.origin), np.asarray(origin, dtype=np.float64)
@@ -279,7 +335,7 @@ def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndar
     dphi = 2 * np.pi / _CULL_BINS
     r = int(np.ceil(0.5 + _CULL_SLACK + rho_max * dphi / (2 * vox)))
     if r > max(nx, ny):
-        return np.full(len(dirs), np.inf)
+        return np.zeros(len(dirs)), np.full(len(dirs), np.inf)
 
     b = np.minimum(((np.arctan2(dy, dx) + np.pi) / dphi).astype(np.intp), _CULL_BINS - 1)
     used = np.bincount(b, minlength=_CULL_BINS) > 0
@@ -307,19 +363,24 @@ def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndar
     rho_lo = np.maximum(rho - vox / 2, 0.0)
     run = np.where(rise >= 0, rho_lo, rho + vox / 2)
     sigma = np.divide(rise, run, out=np.full(rise.shape, np.inf), where=run > 0)
-    s_max = np.maximum.accumulate(sigma[:, ::-1], axis=1)[:, ::-1]
+    # Rounding up commutes with max, so both maxima run on the fixed-point slopes.
+    q = np.clip(np.ceil(sigma / _SLOPE_UNIT), -_SLOPE_CAP, _SLOPE_CAP + 1).astype(np.int64)
 
-    # Bin rows of keys ``row * width + cap + 1 - q``: ascending, as S falls along a row.
+    # Bin rows of keys ``row * width + cap + M`` and ``row * width + cap + 1 - S``:
+    # ascending, as M rises and S falls along a row.
     width = 2 * _SLOPE_CAP + 2
-    q = np.clip(np.ceil(s_max / _SLOPE_UNIT), -_SLOPE_CAP, _SLOPE_CAP + 1).astype(np.int64)
-    keys = (np.arange(len(phi))[:, None] * width + (_SLOPE_CAP + 1 - q)).ravel()
+    base = np.arange(len(phi))[:, None] * width + _SLOPE_CAP
+    start_keys = (base + np.maximum.accumulate(q, axis=1)).ravel()
+    stop_keys = (base + 1 - np.maximum.accumulate(q[:, ::-1], axis=1)[:, ::-1]).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         s = dz / dxy
         qs = np.clip(np.floor(s / _SLOPE_UNIT), -_SLOPE_CAP, _SLOPE_CAP).astype(np.int64)
         row = (np.cumsum(used) - 1)[b]
-        j = np.searchsorted(keys, row * width + _SLOPE_CAP + 1 - qs, side="right")
-        limit = np.append(rho_lo, np.inf)[j - row * len(rho)] / dxy
-    return np.where(dxy > 0, limit, np.inf)
+        key, first = row * width + _SLOPE_CAP, row * len(rho)
+        rho_at = np.append(rho_lo, np.inf)
+        start = rho_at[np.searchsorted(start_keys, key + qs) - first] / dxy
+        stop = rho_at[np.searchsorted(stop_keys, key + 1 - qs, side="right") - first] / dxy
+    return np.where(dxy > 0, start, 0.0), np.where(dxy > 0, stop, np.inf)
 
 
 def raycast_buffers(
@@ -329,14 +390,15 @@ def raycast_buffers(
     schema: LabelSchema,
 ) -> GeometryBuffers:
     """Render the semantic/coordinate/ray-embedding triple for one camera;
-    each ray stops at its ``_height_limit``, which changes no buffer."""
+    each ray runs between the two limits of ``_height_limit``, which change
+    no buffer."""
     if not max_range > 0:
         raise ValueError("max_range must be positive")
     dirs = cam.pixel_directions()
     flat = dirs.reshape(-1, 3)
-    limit = _height_limit(grid, cam.center(), flat, max_range, schema.free_class)
-    hit, iv = raycast_grid(grid, np.broadcast_to(cam.center(), flat.shape), flat,
-                           np.minimum(max_range, limit), schema.free_class)
+    start, stop = _height_limit(grid, cam.center(), flat, max_range, schema.free_class)
+    hit, iv = raycast_grid(grid, np.broadcast_to(cam.center(), flat.shape), flat, start,
+                           np.minimum(max_range, stop), schema.free_class)
     h, w = cam.height, cam.width
     iv = iv[hit]
     hit = hit.reshape(h, w)

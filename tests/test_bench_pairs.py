@@ -82,3 +82,18 @@ def test_diff_reports_the_change_medians(tmp_path, capsys):
 def test_seed_ranges_and_lists():
     assert bench_pairs.parse_seeds("2221-2224") == [2221, 2222, 2223, 2224]
     assert bench_pairs.parse_seeds("1,3,5") == [1, 3, 5]
+
+
+def test_a_parent_without_git_stops_before_any_pair(tmp_path, monkeypatch, capsys):
+    def run_one(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(bench_pairs, "run_one", run_one)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", str(parent), "--change", ".", "--workload", "vae_train",
+                          "--seeds", "1", "--out", str(out)])
+    assert stop.value.code == 2 and not out.exists()
+    assert "is not a git checkout" in capsys.readouterr().err

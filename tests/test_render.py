@@ -23,7 +23,7 @@ from occkit.render import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "occbench"))
-from bench_checks import sampled_first_hit  # noqa: E402
+from bench_checks import _ray_box, sampled_first_hit  # noqa: E402
 
 SCHEMA = LabelSchema()
 
@@ -42,10 +42,15 @@ def reference_raycast_grid(
     max_range: float,
     free_class: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference traversal: occkit's original ``raycast_grid``, verbatim.
+    """Reference traversal: occkit's original ``raycast_grid`` under the
+    closed-form time rule.
 
     It steps (N, 3) state with argmin and fancy indexing, one voxel per
-    iteration; ``raycast_grid`` must return the same bits.
+    iteration, from each ray's entry. Per axis the next boundary plane ``P``
+    is the one past the ray's voxel, and its crossing time is computed as
+    ``((g0 + P*vox) - o) / d`` afresh at every step; nothing is accumulated. ``raycast_grid`` must
+    return the same bits. Also returns each hit's entry distance, ``inf`` on
+    a miss.
     """
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
@@ -73,12 +78,15 @@ def reference_raycast_grid(
 
     p = origins[active] + t_enter[active, None] * dirs[active]
     iv = np.clip(np.floor((p - g0) / vox).astype(np.int64), 0, dims - 1)
+    o = origins[active]
     d = dirs[active]
     step = np.where(d > 0, 1, -1).astype(np.int64)
-    boundary = g0 + (iv + (d > 0)) * vox
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tmax = np.where(d != 0, (boundary - origins[active]) / d, np.inf)
-        tdelta = np.where(d != 0, vox / np.abs(d), np.inf)
+
+    def crossing(iv, g0, o, d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(d != 0, ((g0 + (iv + (d > 0)) * vox) - o) / d, np.inf)
+
+    tmax = crossing(iv, g0, o, d)
     t_cur = t_enter[active]
 
     while len(active):
@@ -91,19 +99,19 @@ def reference_raycast_grid(
             hit_t[ridx] = t_cur[found]
         keep = ~found
         active = active[keep]
-        iv, step, tmax, tdelta = iv[keep], step[keep], tmax[keep], tdelta[keep]
+        iv, step, tmax, o, d = iv[keep], step[keep], tmax[keep], o[keep], d[keep]
         if len(active) == 0:
             break
         r = np.arange(len(active))
         ax = np.argmin(tmax, axis=1)
         t_cur = tmax[r, ax]
         iv[r, ax] += step[r, ax]
-        tmax[r, ax] += tdelta[r, ax]
+        tmax[r, ax] = crossing(iv[r, ax], g0[ax], o[r, ax], d[r, ax])
         alive = (iv[r, ax] >= 0) & (iv[r, ax] < dims[ax]) & (t_cur <= max_range)
         if not alive.all():
             active = active[alive]
-            iv, step = iv[alive], step[alive]
-            tmax, tdelta, t_cur = tmax[alive], tdelta[alive], t_cur[alive]
+            iv, step, tmax, o, d = iv[alive], step[alive], tmax[alive], o[alive], d[alive]
+            t_cur = t_cur[alive]
     return hit, hit_iv, hit_t
 
 
@@ -266,7 +274,7 @@ class TestRaycast:
         origins = np.array([(0.0, 0.0, 0.0), origin])
         dirs = np.array([(1.0, 0.0, 0.0), direction])
         with pytest.raises(ValueError, match="finite, non-zero directions"):
-            raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, np.inf,
+            raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0, np.inf,
                          SCHEMA.free_class)
 
     def test_labels_of_another_shape_rejected(self):
@@ -276,7 +284,7 @@ class TestRaycast:
         labels = np.zeros((4, 3, 2), dtype=np.uint8)
         labels[0, 1, 0] = 1
         hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), [[-1.0, 1.5, 0.5]],
-                               [[1.0, 0.0, 0.0]], 10.0, 0)
+                               [[1.0, 0.0, 0.0]], 0.0, 10.0, 0)
         assert hit.tolist() == [True] and iv.tolist() == [[0, 1, 0]]
         for bad, shape in ((labels[:1], "1, 3, 2"), (labels[:, :, :1], "4, 3, 1"),
                            (labels.reshape(2, 6, 2), "2, 6, 2")):
@@ -297,7 +305,7 @@ class TestRaycast:
             targets = rng.uniform(-3.0, 3.0, size=(400, 3))
             dirs = targets - origins
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            hit, iv = raycast_grid(grid, origins, dirs, 60.0, SCHEMA.free_class)
+            hit, iv = raycast_grid(grid, origins, dirs, 0.0, 60.0, SCHEMA.free_class)
             ohit, oiv, cert = sampled_first_hit(labels, spec, origins, dirs,
                                                 60.0, SCHEMA.free_class, substeps=50)
             total += int(cert.sum())
@@ -353,7 +361,8 @@ def assert_same_traversal(labels, spec, origins, dirs, max_range, free):
     Returns the hit mask and the reference's entry distance, ``inf`` on a
     miss, which ``raycast_grid`` does not return.
     """
-    hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, max_range, free)
+    hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0, max_range,
+                           free)
     rhit, riv, rt = reference_raycast_grid(labels, spec, origins, dirs,
                                            max_range, free)
     assert np.array_equal(hit, rhit)
@@ -369,6 +378,36 @@ LATTICE_DIRS = np.array([(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1)
                         dtype=np.float64)
 
 
+def random_case(rng, trial):
+    """One grid of ``test_random_grids`` and its 384 rays: origins inside,
+    outside, on lattice points and mixed; directions Gaussian or on the
+    lattice, so that boundary crossings tie between axes."""
+    dims = tuple(int(v) for v in rng.integers(1, 21, size=3))
+    vox = float(rng.choice([0.1, 0.25, 0.4, 1.0, rng.uniform(0.05, 2.0)]))
+    g0 = rng.uniform(-4.0, 4.0, size=3)
+    if trial % 2:
+        g0 = np.round(g0 / vox) * vox
+    spec = GridSpec(dims=dims, origin=tuple(g0), voxel_size=vox)
+    extent = np.asarray(dims) * vox
+    density = rng.choice([0.0, 0.02, 0.1, 0.4])
+    labels = np.where(rng.random(dims) < density, rng.integers(0, 5, dims), 5)
+    k = 96
+    inside = g0 + rng.random((k, 3)) * extent
+    outside = g0 - extent + rng.random((k, 3)) * 3 * extent
+    lattice = g0 + rng.integers(-1, np.asarray(dims) + 2, (k, 3)) * vox
+    mixed = np.where(rng.random((k, 3)) < 0.5, lattice, inside)
+    origins = np.concatenate([inside, outside, lattice, mixed])
+    gauss = rng.normal(size=(len(origins), 3))
+    gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+    diag = LATTICE_DIRS[rng.integers(0, len(LATTICE_DIRS), len(origins))]
+    diag *= rng.choice([1.0, 0.5, 3.0])
+    on_lattice = rng.random((len(origins), 1)) >= 0.5
+    dirs = np.where(on_lattice, diag, gauss)
+    span = float(np.linalg.norm(extent))
+    max_range = float(rng.choice([rng.uniform(0.0, span), 2.0 * span, 1e3, np.inf]))
+    return labels, spec, origins, dirs, max_range, on_lattice[:, 0]
+
+
 class TestRaycastOracle:
     """raycast_grid against the reference traversal, bit for bit."""
 
@@ -377,30 +416,7 @@ class TestRaycastOracle:
         free = 5
         hits = rays = on_lattice_zero_t = 0
         for trial in range(300):
-            dims = tuple(int(v) for v in rng.integers(1, 21, size=3))
-            vox = float(rng.choice([0.1, 0.25, 0.4, 1.0, rng.uniform(0.05, 2.0)]))
-            g0 = rng.uniform(-4.0, 4.0, size=3)
-            if trial % 2:
-                g0 = np.round(g0 / vox) * vox
-            spec = GridSpec(dims=dims, origin=tuple(g0), voxel_size=vox)
-            extent = np.asarray(dims) * vox
-            density = rng.choice([0.0, 0.02, 0.1, 0.4])
-            labels = np.where(rng.random(dims) < density,
-                              rng.integers(0, 5, dims), free)
-            k = 96
-            inside = g0 + rng.random((k, 3)) * extent
-            outside = g0 - extent + rng.random((k, 3)) * 3 * extent
-            lattice = g0 + rng.integers(-1, np.asarray(dims) + 2, (k, 3)) * vox
-            mixed = np.where(rng.random((k, 3)) < 0.5, lattice, inside)
-            origins = np.concatenate([inside, outside, lattice, mixed])
-            gauss = rng.normal(size=(len(origins), 3))
-            gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-            diag = LATTICE_DIRS[rng.integers(0, len(LATTICE_DIRS), len(origins))]
-            diag *= rng.choice([1.0, 0.5, 3.0])
-            dirs = np.where(rng.random((len(origins), 1)) < 0.5, gauss, diag)
-            span = float(np.linalg.norm(extent))
-            max_range = float(rng.choice([rng.uniform(0.0, span), 2.0 * span,
-                                          1e3, np.inf]))
+            labels, spec, origins, dirs, max_range, _ = random_case(rng, trial)
             hit, t = assert_same_traversal(labels, spec, origins, dirs,
                                            max_range, free)
             hits += int(hit.sum())
@@ -432,14 +448,19 @@ class TestRaycastOracle:
         # tie rule steps the lowest axis, even one the ray does not move along
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hit, iv = raycast_grid(grid, origins, dirs * 5e-324, np.inf, free)
+            hit, iv = raycast_grid(grid, origins, dirs * 5e-324, 0.0, np.inf, free)
         with np.errstate(over="ignore"):  # the oracle's overflow to inf is the case
             rhit, riv, _ = reference_raycast_grid(labels, spec, origins, dirs * 5e-324,
                                                   np.inf, free)
         assert np.array_equal(hit, rhit) and np.array_equal(iv, riv)
         assert hit.any()
+        # from outside the box such a ray could enter only at t = inf: it misses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit, iv = raycast_grid(grid, origins - 1.0, dirs * 5e-324, 0.0, np.inf, free)
+        assert not hit.any() and not iv.any()
         empty = np.zeros((0, 3))
-        hit, iv = raycast_grid(grid, empty, empty, 5.0, free)
+        hit, iv = raycast_grid(grid, empty, empty, 0.0, 5.0, free)
         assert hit.shape == (0,) and iv.shape == (0, 3)
 
     def test_input_layouts(self):
@@ -487,6 +508,79 @@ class TestRaycastOracle:
                                           max_range, SCHEMA.free_class)
 
 
+def tie_times(spec, origins, dirs):
+    """Per ray, the latest time at which the ray crosses boundary planes of two
+    axes at once, by the reference's rule; ``nan`` where there is none."""
+    g0, vox = np.asarray(spec.origin), spec.voxel_size
+    planes = np.arange(max(spec.dims) + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = ((g0[:, None] + planes * vox) - origins[:, :, None]) / dirs[:, :, None]
+    t[(dirs[:, :, None] == 0) | (planes > np.asarray(spec.dims)[:, None])] = np.nan
+    best = np.full(len(origins), np.nan)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        same = t[:, a, :, None] == t[:, b, None, :]
+        best = np.fmax(best, np.where(same, t[:, a, :, None], -np.inf).max(axis=(1, 2)))
+    return np.where(best >= 0, best, np.nan)
+
+
+class TestRestart:
+    """A ray started where every voxel it would enter before is free gives the
+    answer of the reference, which steps it from its entry, bit for bit."""
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(3101)
+        free = 5
+        kinds = dict.fromkeys(("uniform", "hit", "tie", "past tie", "past exit"), 0)
+        for trial in range(200):
+            labels, spec, origins, dirs, max_range, lattice = random_case(rng, trial)
+            grid = SemanticOccupancyGrid(spec, labels)
+            want_hit, want_iv, hit_t = reference_raycast_grid(labels, spec, origins, dirs,
+                                                              max_range, free)
+            t_in, t_out = _ray_box(spec, origins, dirs)
+            # a miss may start anywhere: every voxel it enters within range is free
+            reach = np.where(want_hit, hit_t, np.where(np.isfinite(t_out) & (t_out > 0), t_out,
+                                                       1.0))
+            tie = np.where(lattice, tie_times(spec, origins, dirs), np.nan)
+            tie[tie > hit_t] = np.nan
+            past_tie = np.nextafter(tie, np.inf)
+            past_tie[past_tie >= hit_t] = np.nan
+            starts = {
+                "uniform": rng.random(len(origins)) * reach,
+                "hit": np.where(want_hit, hit_t, np.nan),
+                "tie": tie,
+                "past tie": past_tie,
+                "past exit": np.where(want_hit | ~(t_in <= t_out), np.nan, np.nextafter(
+                    np.maximum(t_out, 0.0), np.inf) * rng.uniform(1, 2, len(origins))),
+            }
+            for kind, start in starts.items():
+                moved = ~np.isnan(start) & (start > t_in)
+                kinds[kind] += int(moved.sum())
+                hit, iv = raycast_grid(grid, origins, dirs, np.where(moved, start, 0.0),
+                                       max_range, free)
+                assert np.array_equal(hit, want_hit), kind
+                assert np.array_equal(iv, want_iv), kind
+        # every kind of start moves many rays past their entry
+        assert min(kinds.values()) > 1000, kinds
+
+    def test_an_origin_a_rounding_step_inside_the_far_face(self):
+        """The origin's y is the last double below the grid's far y face, and
+        its voxel index computes as 4 of 4: the entry clips it to 3, and a
+        ray that does not move along y must keep that voxel at any start."""
+        spec = GridSpec(dims=(6, 4, 3), origin=(-0.6, -0.6, -0.6), voxel_size=0.1)
+        y = np.nextafter(-0.6 + 4 * 0.1, -np.inf)
+        assert np.floor((y + 0.6) / 0.1) == 4
+        labels = np.full(spec.dims, 9)
+        labels[3, 3, 1] = 2
+        origins = np.array([[-0.65, y, -0.45], [-0.55, y, -0.45]])
+        dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        grid = SemanticOccupancyGrid(spec, labels)
+        want = reference_raycast_grid(labels, spec, origins, dirs, np.inf, 9)
+        assert want[0].all() and (want[1] == [3, 3, 1]).all()
+        for start in (0.0, 0.2, 0.3):
+            hit, iv = raycast_grid(grid, origins, dirs, start, np.inf, 9)
+            assert np.array_equal(hit, want[0]) and np.array_equal(iv, want[1])
+
+
 def city(spec, rng, boxes=8):
     """A ground band and random boxes, some reaching the top layer."""
     labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
@@ -529,8 +623,8 @@ def assert_culled_buffers_exact(grid, cam, max_range):
     semantic = np.full(len(hit), SCHEMA.free_class, dtype=np.int64)
     semantic[hit] = grid.labels[tuple(iv[hit].T)]
     assert np.array_equal(buf.semantic.ravel(), semantic)
-    limit = _height_limit(grid, cam.center(), dirs, max_range, SCHEMA.free_class)
-    return float(np.mean(limit < max_range))
+    _, stop = _height_limit(grid, cam.center(), dirs, max_range, SCHEMA.free_class)
+    return float(np.mean(stop < max_range))
 
 
 class TestHeightCull:
@@ -615,7 +709,7 @@ class TestHeightCull:
         dirs = cam.pixel_directions().reshape(-1, 3)
         assert np.all(dirs[:, 2] > 0)
         empty = SemanticOccupancyGrid.full_free(self.SPEC, SCHEMA)
-        assert np.all(_height_limit(empty, cam.center(), dirs, np.inf, SCHEMA.free_class) == 0.0)
+        assert np.all(_height_limit(empty, cam.center(), dirs, np.inf, SCHEMA.free_class)[1] == 0.0)
 
     def test_a_camera_exactly_slack_above_the_ground(self):
         """The camera's height equals the first sample's ``H``, so the
@@ -629,6 +723,29 @@ class TestHeightCull:
             cam = posed_camera((0.3, 0.1, z), 0.7, pitch)
             for max_range in self.RANGES:
                 assert_culled_buffers_exact(grid, cam, max_range)
+
+    def test_starts_within_a_voxel_of_flat_ground(self):
+        """Over a bare ground band every column top is ``H``, so a falling
+        ray of slope ``s`` first reaches ``H`` at ``rho* = (H - Oz) / s``, and
+        its start lies in the sample before: ``rho* - v < rho_start <= rho*``."""
+        spec = self.SPEC
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[:, :, :GROUND_BAND_Z] = 11
+        grid = SemanticOccupancyGrid(spec, labels)
+        v = spec.voxel_size
+        height = spec.origin[2] + (GROUND_BAND_Z + _CULL_SLACK) * v
+        for yaw, pitch in ((0.7, -0.4), (-2.0, -0.25), (2.9, -0.6)):
+            cam = posed_camera((0.3, 0.1, 1.0), yaw, pitch)
+            dirs = cam.pixel_directions().reshape(-1, 3)
+            start, _ = _height_limit(grid, cam.center(), dirs, 60.0, SCHEMA.free_class)
+            dxy = np.hypot(dirs[:, 0], dirs[:, 1])
+            reach = (height - cam.center()[2]) / (dirs[:, 2] / dxy)
+            near = (dirs[:, 2] < 0) & (reach < 7.0)
+            assert near.sum() > 100
+            rho = start[near] * dxy[near]
+            assert np.all(rho <= reach[near] + 1e-9)
+            assert np.all(rho > reach[near] - v - 1e-3)
+            assert_culled_buffers_exact(grid, cam, 60.0)
 
     def test_a_top_layer_voxel_at_the_edge_grazed(self):
         """One voxel in the top layer at the grid's +x edge; narrow cameras
@@ -685,19 +802,23 @@ class TestHeightCull:
 
     def test_a_level_rig_cuts_most_rays(self):
         """Over a ground band and boxes, at least 30% of a level 24-camera
-        rig's rays get a limit below ``max_range``: the cull is on."""
+        rig's rays get a stop below ``max_range`` (53% do), and at least 90%
+        a start past their grid entry (all do): the cull and the skip are on."""
         spec = GridSpec.standard()
         grid = city(spec, np.random.default_rng(2506), boxes=30)
         z = spec.origin[2] + GROUND_BAND_Z * spec.voxel_size + 1.5
         rig = densify_rig(densify_rig(standard_rig(fx=24.0, width=48, height=32, z=z), 1), 1)
         cut = [assert_culled_buffers_exact(grid, cam, 60.0) for cam in rig.cameras[::6]]
-        limited = rays = 0
+        limited = skipped = rays = 0
         for cam in rig.cameras:
             dirs = cam.pixel_directions().reshape(-1, 3)
-            limit = _height_limit(grid, cam.center(), dirs, 60.0, SCHEMA.free_class)
-            limited += int(np.sum(limit < 60.0))
+            start, stop = _height_limit(grid, cam.center(), dirs, 60.0, SCHEMA.free_class)
+            t_enter, _ = _ray_box(spec, np.broadcast_to(cam.center(), dirs.shape), dirs)
+            limited += int(np.sum(stop < 60.0))
+            skipped += int(np.sum(start > t_enter))
             rays += len(dirs)
         assert limited >= 0.3 * rays and min(cut) > 0.0
+        assert skipped >= 0.9 * rays
 
     def test_one_rig_call_peaks_at_most_9_mb(self):
         spec = GridSpec.standard()
@@ -722,15 +843,21 @@ def test_per_ray_range_equals_one_call_per_ray():
     origins = rng.uniform(-3.5, 3.5, (n, 3))
     dirs = rng.normal(size=(n, 3))
     ranges = rng.choice([0.0, 0.4, 1.7, 3.1, 8.0, np.inf], n) * rng.uniform(0.5, 1.5, n)
+    # per-ray starts no later than the first hit at any range
+    first = reference_raycast_grid(labels, spec, origins, dirs, np.inf, 9)[2]
+    starts = np.where(np.isfinite(first), first, 9.0) * rng.choice([0.0, 0.5, 1.0], n)
     grid = SemanticOccupancyGrid(spec, labels)
-    hit, iv = raycast_grid(grid, origins, dirs, ranges, 9)
-    assert 0 < hit.sum() < n
+    hit, iv = raycast_grid(grid, origins, dirs, starts, ranges, 9)
+    assert 0 < hit.sum() < n and np.count_nonzero(starts) > n / 2
     for i in range(n):
-        one = raycast_grid(grid, origins[i:i + 1], dirs[i:i + 1], float(ranges[i]), 9)
+        one = raycast_grid(grid, origins[i:i + 1], dirs[i:i + 1], float(starts[i]),
+                           float(ranges[i]), 9)
         assert one[0][0] == hit[i] and np.array_equal(one[1][0], iv[i])
     for bad in (ranges[:-1], ranges[:, None], ranges[:1], np.append(ranges, 1.0)):
         with pytest.raises(ValueError, match="max_range"):
-            raycast_grid(grid, origins, dirs, bad, 9)
+            raycast_grid(grid, origins, dirs, 0.0, bad, 9)
+        with pytest.raises(ValueError, match="start"):
+            raycast_grid(grid, origins, dirs, bad, 1.0, 9)
 
 
 def _look_yaw(yaw: float) -> Se3Pose:

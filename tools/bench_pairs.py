@@ -8,12 +8,16 @@ the result) are kept, and every metric is summarised per workload:
 quartiles of each side, the median's relative change, the pairs in which
 the change reads lower, and the parent's interquartile range.
 
+    git worktree add ../parent HEAD
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload vae_train --workload rig24_render \\
         --seeds 2221-2230 --seconds 30 --out BENCH_22.json \\
         --claim vae_train peak_rss_mb "median at least 6% lower"
 
     python3 tools/bench_pairs.py --diff BENCH_20.json BENCH_22.json
+
+The parent must be a git checkout, so that the file records its commit;
+without one the script stops before running any pair.
 
 ``--diff A B`` prints, per workload and metric both files summarise, the
 change side's median in A and in B and their relative difference.
@@ -125,13 +129,14 @@ def git_head(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def bench_file(runs: list[dict], parent: Path, seconds: float, claim, change: str | None) -> dict:
+def bench_file(runs: list[dict], parent_commit: str, seconds: float, claim,
+               change: str | None) -> dict:
     records = {side: next((r["run_record"] for r in runs
                            if r["side"] == side and r["run_record"]), None) for side in SIDES}
     return {
         "change": change,
         "claim": (dict(zip(("workload", "metric", "target"), claim)) if claim else None),
-        "parent_commit": git_head(parent),
+        "parent_commit": parent_commit,
         "command": (f"python3 occbench/run.py --workload WORKLOAD --seed SEED "
                     f"--seconds {seconds:g} --trace 0, parent and change each run "
                     f"from its own copy of the files"),
@@ -185,6 +190,10 @@ def main(argv=None) -> int:
     if not (args.parent and args.change and args.workload and args.seeds and args.out):
         parser.error("--parent, --change, --workload, --seeds and --out are needed")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    parent_commit = git_head(checkouts["parent"])
+    if parent_commit is None:
+        parser.error(f"--parent {args.parent} is not a git checkout, so its commit "
+                     "cannot be recorded")
     runs = []
     for workload in args.workload:
         for seed in args.seeds:
@@ -195,7 +204,7 @@ def main(argv=None) -> int:
                       + " ".join(f"{n} {values[n]:.4g}" for n in END_TO_END if n in values),
                       file=sys.stderr, flush=True)
                 runs.append(run)
-    out = bench_file(runs, checkouts["parent"], args.seconds, args.claim, args.describe)
+    out = bench_file(runs, parent_commit, args.seconds, args.claim, args.describe)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0 if all(s["all_correct_none_failed"] for s in out["summary"].values()) else 1
 
