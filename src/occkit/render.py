@@ -15,9 +15,13 @@ be computed directly: a ray can start late in the very state that
 stepping would have reached. The set-up and the step keep one contiguous
 row per axis, and the step reads an occupancy array framed by a border,
 so it needs no bounds test. The occupancy array is rebuilt in every call.
-The step's axis is ``y + z * (2 - y)`` of the 0/1 tests ``y = ty < tx``
-and ``z = tz < min(tx, ty)``: z, else y, else x, so ties go to the lowest
-axis.
+The step's axis is z where ``tz < min(tx, ty)``, else y where ``ty < tx``,
+else x, so ties go to the lowest axis; each axis reads its planes from a
+row laid out in the ray's direction, so every step moves one index on.
+A finished ray freezes: it stops on the first voxel that is not free, the
+border included, or before a crossing past its range, and keeps the voxel
+it checked last. Its answer is read once from that voxel, a hit if it is
+occupied, when the loop compacts the ray away.
 
 ``raycast_buffers`` gives each ray two limits from the column tops, the
 height-field bound of terrain ray casting (Cohen & Shaked 1993) read from
@@ -28,9 +32,10 @@ serves them all, and each ray finds each limit by one binary search. On a
 24-camera, 160x90 rig over the standard 256x256x25 grid, live voxel steps
 per ray fell from 73.5 to 29.0 with the stop and to 1.5-1.8 with the
 start; loop iterations per call fell from 224 to 180 to 100-106. A call
-now splits into limits 2.5-2.6 ms, entry times 0.6, entry and restart
-state 0.6, occupancy 0.65 and loop 3.3-3.4 ms, where the loop took
-8.7-9.0 ms with the stop alone (median camera, best of 7, 2-core host).
+now splits into limits 2.4-2.7 ms, entry times 0.6, entry and restart
+state 0.8, occupancy 0.7-1.2, loop 3.2-3.5 and buffers 1.0 ms of 9.2-9.9
+ms (median camera, best of 7, 2-core host); the rays whose start is past
+their range, 38-43% of a level rig's, skip the set-up.
 Leaping 8x8x1 empty bricks was bit-identical but 1.44x slower in numpy,
 from about 25 k switches per camera between leaping and stepping.
 
@@ -127,8 +132,14 @@ class CameraRig:
 def plucker_embedding(directions: np.ndarray, origin: np.ndarray) -> np.ndarray:
     """(H, W, 6) Pluecker rays (direction, origin x direction) from unit
     ``directions`` (H, W, 3) sharing one ``origin``."""
-    m = np.cross(np.broadcast_to(origin, directions.shape), directions)
-    return np.concatenate([directions, m], axis=-1)
+    (ox, oy, oz), (dx, dy, dz) = origin, np.moveaxis(directions, -1, 0)
+    out = np.empty(directions.shape[:-1] + (6,))
+    out[..., :3] = directions
+    # the products and differences of np.cross(origin, directions)
+    out[..., 3] = oy * dz - oz * dy
+    out[..., 4] = oz * dx - ox * dz
+    out[..., 5] = ox * dy - oy * dx
+    return out
 
 
 def raycast_grid(
@@ -161,6 +172,9 @@ def raycast_grid(
       enters before ``start`` is free, so the voxels skipped change no
       answer. ``start`` is a scalar or one value per ray, shape (N,). A ray
       whose ``T`` lies past its grid exit or its ``max_range`` misses.
+    * Cull: a ray whose ``start`` is past its ``max_range``, or ``inf``,
+      misses before any per-ray set-up (slab, entry or restart
+      arithmetic), and a call whose every ray is culled reads no ``grid``.
     * Ties: the ray steps across the nearest voxel boundary; when two or
       three boundary times are equal, the lowest axis (x, then y, then z)
       steps first, one voxel per step, so a ray through an edge or corner
@@ -182,19 +196,25 @@ def raycast_grid(
     for name, value in (("start", t_start), ("max_range", t_lim)):
         if value.shape not in ((), (n,)):
             raise ValueError(f"{name} must be a scalar or have shape ({n},), not {value.shape}")
+    # Per-ray state is one contiguous row per axis, (3, N).
+    o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
+    if (d == 0.0).all(axis=0).any() or not (np.isfinite(o).all() and np.isfinite(d).all()):
+        raise ValueError("rays need finite origins and finite, non-zero directions")
+    hit = np.zeros(n, dtype=bool)
+    hit_iv = np.zeros((n, 3), dtype=np.int64)
+    # The caller's limits cull first: a ray that starts past its range, or
+    # at inf, reaches nothing, whatever the grid.
+    active = np.flatnonzero(np.broadcast_to((t_start <= t_lim) & (t_start < np.inf), (n,)))
+    if len(active) == 0:
+        return hit, hit_iv
+
     dims = np.asarray(grid.spec.dims)[:, None]
     g0 = np.asarray(grid.spec.origin)[:, None]
     vox = grid.spec.voxel_size
     g1 = g0 + dims * vox
-    # Per-ray state is one contiguous row per axis, (3, N).
-    o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
-
-    hit = np.zeros(n, dtype=bool)
-    hit_iv = np.zeros((n, 3), dtype=np.int64)
-
+    o, d = o.take(active, axis=1), d.take(active, axis=1)
+    t_start, t_lim = (np.broadcast_to(t, (n,))[active] for t in (t_start, t_lim))
     zero = d == 0.0
-    if zero.all(axis=0).any() or not (np.isfinite(o).all() and np.isfinite(d).all()):
-        raise ValueError("rays need finite origins and finite, non-zero directions")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = (g0 - o) / d
         tb = (g1 - o) / d
@@ -203,15 +223,14 @@ def raycast_grid(
     hi_t = np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb))
     t_enter = np.maximum(lo_t.max(axis=0), 0.0)
     t_begin = np.maximum(t_enter, t_start)
-    t_exit = hi_t.min(axis=0)
     # a ray that could enter only at t = inf (all its slab times overflow) misses
-    active = np.nonzero((t_begin <= t_exit) & (t_begin <= t_lim) & (t_begin < np.inf))[0]
-    if len(active) == 0:
+    keep = np.flatnonzero((t_begin <= hi_t.min(axis=0)) & (t_begin <= t_lim)
+                          & (t_begin < np.inf))
+    if len(keep) == 0:
         return hit, hit_iv
 
-    o, d = o.take(active, axis=1), d.take(active, axis=1)
-    t_enter, t_begin = t_enter[active], t_begin[active]
-    t_lim = np.broadcast_to(t_lim, (n,))[active]
+    active, o, d = active[keep], o.take(keep, axis=1), d.take(keep, axis=1)
+    t_enter, t_begin, t_lim = t_enter[keep], t_begin[keep], t_lim[keep]
     up, sgn = d > 0, np.sign(d)
     entry = np.clip(np.floor((o + t_enter * d - g0) / vox), 0, dims - 1) + up
     # The restart: per axis, an estimate of the first plane whose time is >=
@@ -228,11 +247,14 @@ def raycast_grid(
     p = np.where(sgn * (p - entry) > 0, p, entry)
     del entry, skip, sgn
 
-    # Plane coordinates, one row per axis laid end to end; ``q`` indexes each
-    # ray's next plane per axis. An axis with d = 0 keeps its time at inf: its
-    # origin reads -inf and its direction 1.
-    planes = np.concatenate([g0[a] + np.arange(dims[a, 0] + 1) * vox for a in range(3)])
-    q = (p + np.cumsum(dims + 1, axis=0) - (dims + 1)).astype(np.int64).ravel()
+    # Plane coordinates, per axis one row forward and the same row reversed,
+    # laid end to end; ``q`` indexes each ray's next plane per axis and steps
+    # by +1 whichever way the ray moves. An axis with d = 0 keeps its time at
+    # inf: its origin reads -inf and its direction 1.
+    rows = [g0[a] + np.arange(dims[a, 0] + 1) * vox for a in range(3)]
+    planes = np.concatenate([r for row in rows for r in (row, row[::-1])])
+    fwd = 2 * (np.cumsum(dims + 1, axis=0) - (dims + 1))
+    q = np.where(up, fwd + p, fwd + 2 * dims + 1 - p).astype(np.int64).ravel()
     o = np.where(d == 0, -np.inf, o).ravel()
     d = np.where(d == 0, 1.0, d).ravel()
     with np.errstate(over="ignore"):
@@ -246,38 +268,39 @@ def raycast_grid(
     strides = np.array([[occ.shape[1] * occ.shape[2]], [occ.shape[2]], [1]])
     cell = strides[:, 0] @ (p - up + 1).astype(np.int64)
     ts = np.where(up, strides, -strides).ravel()
-    qs = np.where(up, 1, -1).ravel()
     del p, up
     hit_cell = np.zeros(n, dtype=np.int64)
-    m = n_live = len(active)
-    live, ray = np.ones(m, dtype=bool), np.arange(m)
+    m = len(active)
+    live = np.ones(m, dtype=bool)
+    ray, ray_y, ray_z = np.arange(3 * m).reshape(3, m)  # (axis, ray) indices into tm
+    tx, ty, tz = tm.reshape(3, m)  # views, which the steps below update
     with np.errstate(over="ignore"):  # directions of subnormal size
-        while n_live:
-            if n_live <= 0.75 * m:  # compact once a quarter of the rays are done
-                active, cell, t_lim = active[live], cell[live], t_lim[live]
-                tm, q, qs, ts, o, d = (a.reshape(3, m).compress(live, axis=1).ravel()
-                                       for a in (tm, q, qs, ts, o, d))
-                m, live, ray = n_live, np.ones(n_live, dtype=bool), np.arange(n_live)
-            v = occ.take(cell, mode="clip")  # done rays may have walked off the array
-            found = (v == 1) & live
-            if found.any():
-                ridx = active[found]
-                hit[ridx] = True
-                hit_cell[ridx] = cell[found]
+        while True:
+            # A ray stops on a voxel that is not free, or where its next
+            # crossing is out of range, and then keeps that voxel: its answer
+            # is read once, when it is compacted away.
+            v = occ.take(cell)
             live &= v == 0
-            tx, ty, tz = tm.reshape(3, m)
-            # (axis, ray) of the nearest boundary by the axis rule above; np.intp(m)
-            # keeps the uint8 product from overflowing
             txy = np.minimum(tx, ty)
-            y, z = (ty < tx).view(np.uint8), (tz < txy).view(np.uint8)
-            k = ray + (y + z * (2 - y)) * np.intp(m)
-            t_cur = np.minimum(txy, tz)
-            qk = q.take(k) + qs.take(k)
+            live &= np.minimum(txy, tz) <= t_lim
+            k = np.where(tz < txy, ray_z, np.where(ty < tx, ray_y, ray))
+            qk = q.take(k) + 1
             q[k] = qk  # done rays may step past their axis's planes, so "clip"
             tm[k] = (planes.take(qk, mode="clip") - o.take(k)) / d.take(k)
-            cell += ts.take(k)
-            live &= t_cur <= t_lim
-            n_live = np.count_nonzero(live)
+            cell += ts.take(k) * live
+            n_live = int(np.count_nonzero(live))
+            if n_live <= 0.75 * m:  # compact once a quarter of the rays are done
+                done = ~live
+                hit[active[done]] = v[done] == 1
+                hit_cell[active[done]] = cell[done]
+                if not n_live:
+                    break
+                active, cell, t_lim = active[live], cell[live], t_lim[live]
+                tm, q, ts, o, d = (a.reshape(3, m).compress(live, axis=1).ravel()
+                                   for a in (tm, q, ts, o, d))
+                m, live = n_live, np.ones(n_live, dtype=bool)
+                ray, ray_y, ray_z = np.arange(3 * m).reshape(3, m)
+                tx, ty, tz = tm.reshape(3, m)
     hit_iv[hit] = np.transpose(np.unravel_index(hit_cell[hit], occ.shape)) - 1
     return hit, hit_iv
 
@@ -348,11 +371,16 @@ def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndar
     # Tops of the grid's columns within r of a sample, framed by r + 1 columns.
     x0, y0 = int(max(fx.min() - r, 0)), int(max(fy.min() - r, 0))
     x1, y1 = max(int(min(fx.max() + r + 1, nx)), x0), max(int(min(fy.max() + r + 1, ny)), y0)
-    nonfree = grid.labels[x0:x1, y0:y1] != free_class
-    a = nonfree[:, :, ::-1].argmax(axis=2)
+    # A column's top is the running maximum of (z + 1) over its non-free
+    # layers, read layer by layer from a z-major mask.
+    nonfree = np.empty((nz, x1 - x0, y1 - y0), dtype=bool)
+    np.not_equal(np.moveaxis(grid.labels[x0:x1, y0:y1], 2, 0), free_class, out=nonfree)
+    layer_top = np.zeros(nonfree.shape[1:], dtype=np.min_scalar_type(nz))
+    for z, layer in enumerate(nonfree):
+        np.maximum(layer_top, layer * layer_top.dtype.type(z + 1), out=layer_top)
     p = r + 1
     top = np.zeros((x1 - x0 + 2 * p, y1 - y0 + 2 * p), dtype=np.intp)
-    top[p:-p, p:-p] = np.where(nonfree[:, :, -1] | (a > 0), nz - a, 0)
+    top[p:-p, p:-p] = layer_top
     for _ in range(r):
         top[1:-1] = np.maximum(np.maximum(top[:-2], top[2:]), top[1:-1])
         top[:, 1:-1] = np.maximum(np.maximum(top[:, :-2], top[:, 2:]), top[:, 1:-1])
@@ -376,10 +404,16 @@ def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndar
         s = dz / dxy
         qs = np.clip(np.floor(s / _SLOPE_UNIT), -_SLOPE_CAP, _SLOPE_CAP).astype(np.int64)
         row = (np.cumsum(used) - 1)[b]
+        # A ray above its whole row gets what both searches would give it:
+        # no start sample, and a stop at the first.
+        i = np.flatnonzero(qs <= q.max(axis=1)[row])
+        row, qs = row[i], qs[i]
         key, first = row * width + _SLOPE_CAP, row * len(rho)
         rho_at = np.append(rho_lo, np.inf)
-        start = rho_at[np.searchsorted(start_keys, key + qs) - first] / dxy
-        stop = rho_at[np.searchsorted(stop_keys, key + 1 - qs, side="right") - first] / dxy
+        start, stop = np.full(len(dirs), np.inf), np.full(len(dirs), rho_lo[0])
+        start[i] = rho_at[np.searchsorted(start_keys, key + qs) - first]
+        stop[i] = rho_at[np.searchsorted(stop_keys, key + 1 - qs, side="right") - first]
+        start, stop = start / dxy, stop / dxy
     return np.where(dxy > 0, start, 0.0), np.where(dxy > 0, stop, np.inf)
 
 
@@ -400,14 +434,16 @@ def raycast_buffers(
     hit, iv = raycast_grid(grid, np.broadcast_to(cam.center(), flat.shape), flat, start,
                            np.minimum(max_range, stop), schema.free_class)
     h, w = cam.height, cam.width
-    iv = iv[hit]
-    hit = hit.reshape(h, w)
-    semantic = np.full((h, w), schema.free_class, dtype=np.int64)
-    semantic[hit] = grid.labels[iv[:, 0], iv[:, 1], iv[:, 2]]
-    coordinate = np.zeros((h, w, 3))
-    coordinate[hit] = grid.spec.index_to_center(iv)
-    return GeometryBuffers(semantic=semantic, coordinate=coordinate,
-                           plucker=plucker_embedding(dirs, cam.center()), hit_mask=hit)
+    pixel = np.flatnonzero(hit)
+    iv = iv[pixel]
+    semantic = np.full(h * w, schema.free_class, dtype=np.int64)
+    semantic[pixel] = grid.labels.reshape(-1).take(np.ravel_multi_index(iv.T, grid.spec.dims))
+    coordinate = np.zeros((h * w, 3))
+    coordinate[pixel] = grid.spec.index_to_center(iv)
+    return GeometryBuffers(semantic=semantic.reshape(h, w),
+                           coordinate=coordinate.reshape(h, w, 3),
+                           plucker=plucker_embedding(dirs, cam.center()),
+                           hit_mask=hit.reshape(h, w))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@
 
 Each mutant swaps one operator of ``src/occkit/<module>.py``: ``<`` and
 ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+`` and ``-``, ``*`` and
-``/``, ``and`` and ``or``. Up to ``--sample`` sites are taken evenly over
-the module, in ``ast.walk`` order, so a re-run on the same source takes the
-same sites. Each mutant is written into a temporary copy of ``src/occkit``
-and ``pytest -x tests`` runs against it; a mutant survives when the tests
-pass, and one that runs past four times the unmutated run's time counts as
-killed (a mutated loop may never end). Survivors are listed with their line,
-then the score.
+``/``, ``&`` and ``|``, ``and`` and ``or``, also in augmented assignments
+(``+=`` and ``-=``, ``&=`` and ``|=``, ...), but not in annotations. Up to
+``--sample`` sites are taken evenly over the module, in ``ast.walk`` order,
+so a re-run on the same source takes the same sites. Each mutant is
+written into a temporary copy of ``src/occkit`` and ``pytest -x tests``
+runs against it; a mutant survives when the tests pass, and one that runs
+past four times the unmutated run's time counts as killed (a mutated loop
+may never end). Survivors are listed with their line, then the score.
 Stdlib only; pytest does not collect this file.
 """
 
@@ -30,14 +31,27 @@ ROOT = Path(__file__).resolve().parents[1]
 SLOWDOWN = 4.0  # a mutant's run may take this many times the unmutated one's
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
-        ast.Mult: ast.Div, ast.Div: ast.Mult, ast.And: ast.Or, ast.Or: ast.And}
+        ast.Mult: ast.Div, ast.Div: ast.Mult, ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
+        ast.And: ast.Or, ast.Or: ast.And}
+
+
+def hint(node: ast.AST) -> ast.AST | None:
+    """The annotation a node carries, if any."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    return getattr(node, "annotation", None)  # ast.arg, ast.AnnAssign
 
 
 def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
-    """(node, index into Compare.ops or None) for every swappable operator."""
+    """(node, index into Compare.ops or None) for every swappable operator
+    outside annotations, which ``from __future__ import annotations`` leaves
+    unevaluated (``float | np.ndarray``)."""
+    hints = {id(n) for node in ast.walk(tree) if hint(node) for n in ast.walk(hint(node))}
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in SWAP:
+        if id(node) in hints:
+            continue
+        if isinstance(node, (ast.BinOp, ast.BoolOp, ast.AugAssign)) and type(node.op) in SWAP:
             out.append((node, None))
         elif isinstance(node, ast.Compare):
             out.extend((node, i) for i, op in enumerate(node.ops) if type(op) in SWAP)

@@ -581,6 +581,65 @@ class TestRestart:
             assert np.array_equal(hit, want[0]) and np.array_equal(iv, want[1])
 
 
+
+class TestStop:
+    """A ray stops where its range or the grid ends, keeps the voxel it
+    checked last, and is answered from it when the loop drops it. Seven
+    companion rays run the length of a free row, so the loop keeps going
+    for 40 steps after the ray under test has stopped."""
+
+    SPEC = GridSpec(dims=(40, 3, 3), origin=(0.0, 0.0, 0.0), voxel_size=0.5)
+
+    def cast(self, labels, origin, direction, max_range, start=0.0):
+        origins = np.array([origin] + [[0.1, 0.25, 0.25]] * 7)
+        dirs = np.array([direction] + [[1.0, 0.0, 0.0]] * 7)
+        labels[:, 0, 0] = 9
+        grid = SemanticOccupancyGrid(self.SPEC, labels)
+        hit, iv = raycast_grid(grid, origins, dirs, np.append(start, np.zeros(7)), max_range, 9)
+        rhit, riv, _ = reference_raycast_grid(labels, self.SPEC, origins, dirs, max_range, 9)
+        assert np.array_equal(hit, rhit) and np.array_equal(iv, riv)
+        assert not hit[1:].any()
+        return hit[0], iv[0]
+
+    @pytest.mark.parametrize("max_range, want", [(0.25, True),
+                                                 (np.nextafter(0.25, 0.0), False)])
+    def test_a_range_that_ends_at_an_occupied_voxel(self, max_range, want):
+        """The ray enters occupied voxel (1, 1, 1) at t = 0.25 exactly: a range
+        of 0.25 reaches it, and one a double shorter stops the ray in the free
+        voxel before it, which must not step on into the occupied one."""
+        labels = np.full(self.SPEC.dims, 9)
+        labels[1, 1, 1] = 2
+        hit, iv = self.cast(labels, [0.25, 0.75, 0.75], [1.0, 0.0, 0.0], max_range)
+        assert hit == want
+        assert iv.tolist() == ([1, 1, 1] if want else [0, 0, 0])
+
+    def test_a_ray_that_starts_at_its_range(self):
+        """A start equal to the range is not past it: the ray still crosses
+        into the occupied voxel it enters at exactly that time."""
+        labels = np.full(self.SPEC.dims, 9)
+        labels[1, 1, 1] = 2
+        hit, iv = self.cast(labels, [0.25, 0.75, 0.75], [1.0, 0.0, 0.0], 0.25, start=0.25)
+        assert hit and iv.tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("origin, row, direction", [
+        ((0.25, 1.25, 1.25), (slice(None), 2, 2), (1.0, 0.0, 0.0)),
+        ((19.75, 1.25, 1.25), (slice(None), 2, 2), (-1.0, 0.0, 0.0)),
+        ((19.75, 1.25, 0.25), (39, 2, slice(None)), (0.0, 0.0, 1.0)),
+        ((19.75, 1.25, 1.25), (39, 2, slice(None)), (0.0, 0.0, -1.0)),
+        ((0.25, 0.25, 1.25), (0, slice(None), 2), (0.0, 1.0, 0.0)),
+        ((0.25, 1.25, 1.25), (0, slice(None), 2), (0.0, -1.0, 0.0)),
+    ], ids=["+x", "-x", "+z", "-z", "+y", "-y"])
+    def test_a_ray_that_leaves_beside_occupied_voxels_misses(self, origin, row, direction):
+        """Every voxel but the companions' row and the ray's own is occupied;
+        the ray runs along an edge row of the grid and leaves it into the
+        border, whose cells neighbour occupied voxels in the flat occupancy
+        array. It misses."""
+        labels = np.full(self.SPEC.dims, 2)
+        labels[row] = 9
+        hit, iv = self.cast(labels, origin, direction, np.inf)
+        assert not hit and not iv.any()
+
+
 def city(spec, rng, boxes=8):
     """A ground band and random boxes, some reaching the top layer."""
     labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
@@ -799,6 +858,49 @@ class TestHeightCull:
                     cam = posed_camera(center, yaw, pitch)
                     for max_range in self.RANGES:
                         assert_culled_buffers_exact(grid, cam, max_range)
+
+    def test_a_far_camera_whose_rays_stray_from_their_bin_line(self):
+        """At 3 km a bin's rays lie up to ``rho dphi / 2``, 23 voxels, from its
+        centre line. A narrow camera near the bin's outer edge looks along a
+        wall whose nearest row is 20 rows from the line: only the dilation
+        radius, ``ceil(0.5 + slack + rho_max dphi / (2 v)) = 24``, brings it
+        into the profile."""
+        spec = self.SPEC
+        v, dphi = spec.voxel_size, 2 * np.pi / _CULL_BINS
+        labels = np.full(spec.dims, SCHEMA.free_class, dtype=np.uint8)
+        labels[:, :, :GROUND_BAND_Z] = 11
+        labels[:, 20:, :] = 5
+        grid = SemanticOccupancyGrid(spec, labels)
+        yaw = 0.97 * dphi
+        center = (-3e3, 0.6 - 3e3 * np.tan(yaw), 0.5)        # the rays reach y = 0.6 at x = 0
+        line = center[1] + 3e3 * np.tan(dphi / 2)
+        assert 20 < (spec.origin[1] + 20 * v - line) / v < 21
+        cam = posed_camera(center, yaw, 0.0, fx=1e5)
+        for max_range in (3.1e3, np.inf):
+            assert_culled_buffers_exact(grid, cam, max_range)
+            assert np.all(raycast_buffers(grid, cam, max_range, SCHEMA).semantic == 5)
+
+    def test_a_camera_above_every_top_reaches_nothing(self):
+        """Every ray rises from above the grid's top layer: each starts at
+        inf and misses, and ``raycast_grid`` answers them without reading the
+        grid, as it does rays that start at inf or past their range."""
+        grid = city(self.SPEC, np.random.default_rng(2509))
+        assert (grid.labels[:, :, -1] != SCHEMA.free_class).any()
+        cam = posed_camera((0.3, -0.7, 3.3), 0.4, 0.7)
+        dirs = cam.pixel_directions().reshape(-1, 3)
+        start, stop = _height_limit(grid, cam.center(), dirs, 60.0, SCHEMA.free_class)
+        assert np.all(start == np.inf)
+        assert not raycast_buffers(grid, cam, 60.0, SCHEMA).hit_mask.any()
+
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"grid.{name} was read")
+
+        origins = np.broadcast_to(cam.center(), dirs.shape)
+        for start, max_range in ((start, np.minimum(60.0, stop)), (np.inf, np.inf), (1.0, 0.5)):
+            hit, iv = raycast_grid(Unread(), origins, dirs, start, max_range, SCHEMA.free_class)
+            assert not hit.any() and not iv.any()
+        assert_culled_buffers_exact(grid, cam, 60.0)
 
     def test_a_level_rig_cuts_most_rays(self):
         """Over a ground band and boxes, at least 30% of a level 24-camera
