@@ -13,13 +13,22 @@ boundary plane comes from one closed form, worked out afresh at each
 step, not accumulated, so the state the traversal holds at any ``t`` can
 be computed directly: a ray can start late in the very state that
 stepping would have reached. The set-up and the step keep one contiguous
-row per axis, and the step reads an occupancy array framed by a border,
-so it needs no bounds test. The occupancy array is rebuilt in every call.
+row per axis and read the grid's own flat labels: before a ray crosses a
+plane, it stops if that plane is its axis's last, so it never leaves the
+grid and no border is needed. (Stopping at the exit time instead would
+drop a lower axis's interior crossing tied with the exit.)
 The step's axis is z where ``tz < min(tx, ty)``, else y where ``ty < tx``,
 else x, so ties go to the lowest axis; each axis reads its planes from a
 row laid out in the ray's direction, so every step moves one index on.
-A finished ray freezes: it stops on the first voxel that is not free, the
-border included, or before a crossing past its range, and keeps the voxel
+Once at most 256 rays are live, each iteration instead advances every ray
+by up to ``min(64, 4096 // m)`` crossings: the next planes' times of each
+axis, merged by one stable sort. This is the step's order: (1) each
+axis's times never decrease along its row, so a stable sort keeps each
+axis's crossings in row order; (2) equal times keep the x block before y
+before z, the step's tie rule; (3) times past a row's end read inf and
+follow its exit plane, where the ray stops.
+A finished ray freezes: it stops on the first voxel that is not free, or
+before a crossing past its range or out of the grid, and keeps the voxel
 it checked last. Its answer is read once from that voxel, a hit if it is
 occupied, when the loop compacts the ray away.
 
@@ -31,11 +40,12 @@ rays of a call share an origin, so one height profile per azimuth bin
 serves them all, and each ray finds each limit by one binary search. On a
 24-camera, 160x90 rig over the standard 256x256x25 grid, live voxel steps
 per ray fell from 73.5 to 29.0 with the stop and to 1.5-1.8 with the
-start; loop iterations per call fell from 224 to 180 to 100-106. A call
-now splits into limits 2.4-2.7 ms, entry times 0.6, entry and restart
-state 0.8, occupancy 0.7-1.2, loop 3.2-3.5 and buffers 1.0 ms of 9.2-9.9
-ms (median camera, best of 7, 2-core host); the rays whose start is past
-their range, 38-43% of a level rig's, skip the set-up.
+start; loop iterations per call fell from 224 to 180 to 100-106, and to
+7-9 steps and 2.6-2.9 strides with the strides. ``raycast_grid`` over the
+24 cameras took 137 ms before the strides and no-border step, 102 ms
+(seed 1) and 91 ms (seed 2) after (best of 7 per camera, 2-core host);
+the rays whose start is past their range, 38-43% of a level rig's, skip
+the set-up.
 Leaping 8x8x1 empty bricks was bit-identical but 1.44x slower in numpy,
 from about 25 k switches per camera between leaping and stepping.
 
@@ -181,7 +191,10 @@ def raycast_grid(
       visits the voxels between.
     * Range: a voxel counts when the ray enters it at ``t <= max_range``, a
       scalar or one value per ray, shape (N,). A ``start`` or ``max_range``
-      of another shape raises ``ValueError``.
+      of another shape, or holding NaN, raises ``ValueError``.
+    * Exit: a ray stops before it would cross its axis's last plane, so it
+      never leaves the grid; a lower axis's interior plane crossed at the
+      same time as the exit is still crossed first, by the tie rule.
     * Rays need finite origins and finite, non-zero directions; others
       raise ``ValueError``.
 
@@ -196,6 +209,8 @@ def raycast_grid(
     for name, value in (("start", t_start), ("max_range", t_lim)):
         if value.shape not in ((), (n,)):
             raise ValueError(f"{name} must be a scalar or have shape ({n},), not {value.shape}")
+        if np.isnan(value).any():
+            raise ValueError(f"{name} must not be NaN")
     # Per-ray state is one contiguous row per axis, (3, N).
     o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
     if (d == 0.0).all(axis=0).any() or not (np.isfinite(o).all() and np.isfinite(d).all()):
@@ -249,10 +264,12 @@ def raycast_grid(
 
     # Plane coordinates, per axis one row forward and the same row reversed,
     # laid end to end; ``q`` indexes each ray's next plane per axis and steps
-    # by +1 whichever way the ray moves. An axis with d = 0 keeps its time at
-    # inf: its origin reads -inf and its direction 1.
+    # by +1 whichever way the ray moves, and ``left[q]`` counts the planes
+    # after it in its row, 0 at the grid's last plane. An axis with d = 0
+    # keeps its time at inf: its origin reads -inf and its direction 1.
     rows = [g0[a] + np.arange(dims[a, 0] + 1) * vox for a in range(3)]
     planes = np.concatenate([r for row in rows for r in (row, row[::-1])])
+    left = np.concatenate([np.arange(len(row))[::-1] for row in rows for _ in (0, 1)])
     fwd = 2 * (np.cumsum(dims + 1, axis=0) - (dims + 1))
     q = np.where(up, fwd + p, fwd + 2 * dims + 1 - p).astype(np.int64).ravel()
     o = np.where(d == 0, -np.inf, o).ravel()
@@ -260,13 +277,9 @@ def raycast_grid(
     with np.errstate(over="ignore"):
         tm = (planes.take(q) - o) / d
 
-    # Labels become an occupancy array (0 free, 1 occupied) framed by a border
-    # of 2: a ray that steps out of the grid reads 2, so no step needs a
-    # bounds test.
-    occ = np.full(dims[:, 0] + 2, 2, dtype=np.uint8)
-    np.not_equal(grid.labels, free_class, out=occ[1:-1, 1:-1, 1:-1].view(bool))
-    strides = np.array([[occ.shape[1] * occ.shape[2]], [occ.shape[2]], [1]])
-    cell = strides[:, 0] @ (p - up + 1).astype(np.int64)
+    flat = grid.labels.reshape(-1)
+    strides = np.array([[dims[1, 0] * dims[2, 0]], [dims[2, 0]], [1]])
+    cell = strides[:, 0] @ (p - up).astype(np.int64)
     ts = np.where(up, strides, -strides).ravel()
     del p, up
     hit_cell = np.zeros(n, dtype=np.int64)
@@ -276,22 +289,55 @@ def raycast_grid(
     tx, ty, tz = tm.reshape(3, m)  # views, which the steps below update
     with np.errstate(over="ignore"):  # directions of subnormal size
         while True:
-            # A ray stops on a voxel that is not free, or where its next
-            # crossing is out of range, and then keeps that voxel: its answer
-            # is read once, when it is compacted away.
-            v = occ.take(cell)
-            live &= v == 0
-            txy = np.minimum(tx, ty)
-            live &= np.minimum(txy, tz) <= t_lim
-            k = np.where(tz < txy, ray_z, np.where(ty < tx, ray_y, ray))
-            qk = q.take(k) + 1
-            q[k] = qk  # done rays may step past their axis's planes, so "clip"
-            tm[k] = (planes.take(qk, mode="clip") - o.take(k)) / d.take(k)
-            cell += ts.take(k) * live
+            stride = m <= _STRIDE_RAYS
+            if not stride:
+                # A ray stops on a voxel that is not free, or where its next
+                # crossing is out of range or leaves the grid, and then keeps
+                # that voxel: its answer is read once, when it is compacted away.
+                free = flat.take(cell) == free_class
+                live &= free
+                txy = np.minimum(tx, ty)
+                live &= np.minimum(txy, tz) <= t_lim
+                k = np.where(tz < txy, ray_z, np.where(ty < tx, ray_y, ray))
+                qk = q.take(k)
+                live &= left.take(qk) > 0
+                qk += live
+                q[k] = qk
+                tm[k] = (planes.take(qk) - o.take(k)) / d.take(k)
+                cell += ts.take(k) * live
+            else:
+                # The same rule over the next ``s`` crossings of each ray at
+                # once: the next ``s`` plane times of each axis, inf past the
+                # row's end, in the step's order by one stable sort. ``m``
+                # never grows, so the step never runs again: ``tm`` is not kept.
+                s = min(_STRIDE_CROSSINGS, _STRIDE_BUDGET // m)
+                j = np.arange(s)
+                row = np.arange(m)[:, None]
+                qj = q.reshape(3, m).T[:, :, None] + j
+                rest = left.take(q).reshape(3, m).T[:, :, None]
+                t = (planes.take(qj, mode="clip") - o.reshape(3, m).T[:, :, None]) / (
+                    d.reshape(3, m).T[:, :, None])
+                t[j > rest] = np.inf
+                pick = np.argsort(t.reshape(m, 3 * s), axis=1, kind="stable")[:, :s]
+                axis = pick // s
+                pick += row * (3 * s)
+                # ``path[:, i]`` is the voxel after i crossings; a ray halts
+                # at the first that is not free, or before a crossing out
+                # of range or out of the grid, and at the latest after s.
+                path = np.cumsum(np.concatenate([cell[:, None], ts.take(axis * m + row)], axis=1),
+                                 axis=1)
+                free = flat.take(path, mode="clip") == free_class
+                halt = ~free
+                halt[:, :s] |= (t.take(pick) > t_lim[:, None]) | (j == rest).take(pick)
+                halt[:, s] = True
+                at = halt.argmax(axis=1) + (s + 1) * row[:, 0]
+                cell, free = path.take(at), free.take(at)
+                live = free & (at % (s + 1) == s)
+                q += np.bincount((axis * m + row)[j < at[:, None] % (s + 1)], minlength=3 * m)
             n_live = int(np.count_nonzero(live))
-            if n_live <= 0.75 * m:  # compact once a quarter of the rays are done
+            if stride or n_live <= 0.75 * m:  # after each stride, or a quarter of the rays done
                 done = ~live
-                hit[active[done]] = v[done] == 1
+                hit[active[done]] = ~free[done]
                 hit_cell[active[done]] = cell[done]
                 if not n_live:
                     break
@@ -301,9 +347,15 @@ def raycast_grid(
                 m, live = n_live, np.ones(n_live, dtype=bool)
                 ray, ray_y, ray_z = np.arange(3 * m).reshape(3, m)
                 tx, ty, tz = tm.reshape(3, m)
-    hit_iv[hit] = np.transpose(np.unravel_index(hit_cell[hit], occ.shape)) - 1
+    hit_iv[hit] = np.transpose(np.unravel_index(hit_cell[hit], grid.labels.shape))
     return hit, hit_iv
 
+
+# ``raycast_grid``: the live rays at or below which the loop takes strides
+# of merged crossings, and a stride's crossings per ray and per iteration.
+_STRIDE_RAYS = 256
+_STRIDE_CROSSINGS = 64
+_STRIDE_BUDGET = 4096
 
 # ``_height_limit``: azimuth bins per turn, the slack for rounding in voxels,
 # and the int64 fixed point that slopes compare in.

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from occkit import render
 from occkit.core import (GROUND_BAND_Z, BevLayout, GridSpec, LabelSchema, Se3Pose,
                          SemanticOccupancyGrid)
 from occkit.render import (
@@ -508,6 +509,35 @@ class TestRaycastOracle:
                                           max_range, SCHEMA.free_class)
 
 
+    def test_an_exit_tied_with_an_interior_crossing(self):
+        """Each ray crosses an x plane and a y plane at t = 0.5, one of them
+        the grid's last. Ray 0 crosses x's interior plane 3 first, by the tie
+        rule, into occupied (3, 2, 0), and hits it before it would leave
+        through y = 3. Ray 1 leaves through x = 4 first, before its y
+        crossing into (3, 2, 0): a miss."""
+        spec = GridSpec(dims=(4, 3, 2), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
+        labels = np.zeros(spec.dims, dtype=np.uint8)
+        labels[3, 2, 0] = 1
+        origins = np.array([[2.5, 2.5, 0.5], [3.5, 1.5, 0.5]])
+        dirs = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0,
+                               np.inf, 0)
+        assert hit.tolist() == [True, False] and iv.tolist() == [[3, 2, 0], [0, 0, 0]]
+        assert_same_traversal(labels, spec, origins, dirs, np.inf, 0)
+
+
+@pytest.fixture(params=[0, 2 ** 62], ids=["steps", "strides"])
+def one_loop_body(request, monkeypatch):
+    """``raycast_grid`` with one loop body throughout: steps only, or strides
+    from the first iteration."""
+    monkeypatch.setattr(render, "_STRIDE_RAYS", request.param)
+
+
+@pytest.mark.usefixtures("one_loop_body")
+class TestRaycastOracleOneLoopBody(TestRaycastOracle):
+    """The oracle tests again, under each loop body alone."""
+
+
 def tie_times(spec, origins, dirs):
     """Per ray, the latest time at which the ray crosses boundary planes of two
     axes at once, by the reference's rule; ``nan`` where there is none."""
@@ -581,6 +611,11 @@ class TestRestart:
             assert np.array_equal(hit, want[0]) and np.array_equal(iv, want[1])
 
 
+@pytest.mark.usefixtures("one_loop_body")
+class TestRestartOneLoopBody(TestRestart):
+    """The restart tests again, under each loop body alone."""
+
+
 
 class TestStop:
     """A ray stops where its range or the grid ends, keeps the voxel it
@@ -631,9 +666,9 @@ class TestStop:
     ], ids=["+x", "-x", "+z", "-z", "+y", "-y"])
     def test_a_ray_that_leaves_beside_occupied_voxels_misses(self, origin, row, direction):
         """Every voxel but the companions' row and the ray's own is occupied;
-        the ray runs along an edge row of the grid and leaves it into the
-        border, whose cells neighbour occupied voxels in the flat occupancy
-        array. It misses."""
+        the ray runs along an edge row of the grid and would leave it onto
+        flat indices of occupied voxels. It stops at the grid's last plane
+        and misses."""
         labels = np.full(self.SPEC.dims, 2)
         labels[row] = 9
         hit, iv = self.cast(labels, origin, direction, np.inf)
@@ -955,11 +990,31 @@ def test_per_ray_range_equals_one_call_per_ray():
         one = raycast_grid(grid, origins[i:i + 1], dirs[i:i + 1], float(starts[i]),
                            float(ranges[i]), 9)
         assert one[0][0] == hit[i] and np.array_equal(one[1][0], iv[i])
-    for bad in (ranges[:-1], ranges[:, None], ranges[:1], np.append(ranges, 1.0)):
+    nan_at_one = ranges.copy()
+    nan_at_one[7] = np.nan
+    for bad in (ranges[:-1], ranges[:, None], ranges[:1], np.append(ranges, 1.0), np.nan,
+                nan_at_one):
         with pytest.raises(ValueError, match="max_range"):
             raycast_grid(grid, origins, dirs, 0.0, bad, 9)
         with pytest.raises(ValueError, match="start"):
             raycast_grid(grid, origins, dirs, bad, 1.0, 9)
+
+
+def test_a_nan_start_or_range_is_rejected_not_a_miss():
+    """The ray hits (2, 1, 0) at range 10 and at range inf; a NaN range or
+    start used to answer a silent miss. An inf start is a miss."""
+    spec = GridSpec(dims=(4, 3, 2), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    labels[2, 1, 0] = 1
+    grid = SemanticOccupancyGrid(spec, labels)
+    cast = lambda start, max_range: raycast_grid(grid, [[-1.0, 1.5, 0.5]], [[1.0, 0.0, 0.0]],
+                                                 start, max_range, 0)[0].tolist()
+    assert cast(0.0, 10.0) == cast(0.0, np.inf) == [True]
+    assert cast(np.inf, np.inf) == [False]
+    with pytest.raises(ValueError, match="max_range must not be NaN"):
+        cast(0.0, np.nan)
+    with pytest.raises(ValueError, match="start must not be NaN"):
+        cast(np.nan, 10.0)
 
 
 def _look_yaw(yaw: float) -> Se3Pose:
