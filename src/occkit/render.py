@@ -29,8 +29,9 @@ before z, the step's tie rule; (3) times past a row's end read inf and
 follow its exit plane, where the ray stops.
 A finished ray freezes: it stops on the first voxel that is not free, or
 before a crossing past its range or out of the grid, and keeps the voxel
-it checked last. Its answer is read once from that voxel, a hit if it is
-occupied, when the loop compacts the ray away.
+it checked last. Its answer is read once from that voxel, when the loop
+compacts the ray away: the voxel's flat index into the grid's labels if it
+is occupied, else -1.
 
 ``raycast_buffers`` gives each ray two limits from the column tops, the
 height-field bound of terrain ray casting (Cohen & Shaked 1993) read from
@@ -38,16 +39,13 @@ both sides: a ray starts where it can first come within reach of a column
 top, and stops once it is above every column top it can still reach. The
 rays of a call share an origin, so one height profile per azimuth bin
 serves them all, and each ray finds each limit by one binary search. On a
-24-camera, 160x90 rig over the standard 256x256x25 grid, live voxel steps
-per ray fell from 73.5 to 29.0 with the stop and to 1.5-1.8 with the
-start; loop iterations per call fell from 224 to 180 to 100-106, and to
-7-9 steps and 2.6-2.9 strides with the strides. ``raycast_grid`` over the
-24 cameras took 137 ms before the strides and no-border step, 102 ms
-(seed 1) and 91 ms (seed 2) after (best of 7 per camera, 2-core host);
-the rays whose start is past their range, 38-43% of a level rig's, skip
-the set-up.
-Leaping 8x8x1 empty bricks was bit-identical but 1.44x slower in numpy,
-from about 25 k switches per camera between leaping and stepping.
+24-camera, 160x90 rig over the standard 256x256x25 grid they leave 1.5-1.8
+live voxel steps per ray (73.5 without), in 7-9 steps and 2.6-2.9 strides
+per call; the rays whose start is past their range, 38-43% of a level
+rig's, skip the set-up. Directions pass from stage to stage as one row per
+axis and answers as flat indices, so no stage re-lays them out. A call
+takes 6.5-7.3 ms: directions 0.25, limits 2.1-2.3, ``raycast_grid``
+3.6-4.0, buffers 0.35, Pluecker 0.23 (median camera, best of 9, 2 cores).
 
 ``scipy.spatial.transform`` (rotation interpolation) loads on the first
 ``densify_rig`` call of a process, not at import: about 0.4 s and 37 MB of
@@ -96,7 +94,7 @@ class Camera:
         u = (np.arange(self.width) + 0.5 - self.cx) / self.fx
         v = (np.arange(self.height)[:, None] + 0.5 - self.cy) / self.fy
         n = np.sqrt(u * u + v * v + 1.0)  # the bits of np.linalg.norm over (u, v, 1)
-        return np.stack(self.pose.rotate(u / n, v / n, 1.0 / n), axis=-1)
+        return np.moveaxis(np.stack(self.pose.rotate(u / n, v / n, 1.0 / n)), 0, -1)
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World points -> continuous pixel coords (u, v) and camera depth z."""
@@ -117,10 +115,13 @@ class GeometryBuffers:
     hit_mask: np.ndarray      # (H, W) bool
 
     def validate(self) -> None:
+        """Finite hit coordinates, and ``|d . m| <= 1e-9 |d| |m|`` per row: the rounding
+        of ``d . (o x d)``, about 2e-16 |o| |d|, fails a correct row only if its
+        line passes within about 1e-6 |o| of the world origin."""
         if not np.all(np.isfinite(self.coordinate[self.hit_mask])):
             raise ValueError("non-finite hit coordinates")
         d, m = self.plucker[..., :3], self.plucker[..., 3:]
-        if np.max(np.abs((d * m).sum(axis=-1))) > 1e-12:
+        if np.any(np.abs((d * m).sum(-1)) > 1e-9 * np.sqrt((d * d).sum(-1) * (m * m).sum(-1))):
             raise ValueError("ray moment not orthogonal to direction")
 
 
@@ -159,12 +160,13 @@ def raycast_grid(
     start: float | np.ndarray,
     max_range: float | np.ndarray,
     free_class: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """March rays through the voxel grid; first non-free voxel wins.
 
     Vectorized over rays: every iteration moves each live ray into the
-    next voxel it pierces. Returns (hit (N,), voxel index (N, 3), zero on a
-    miss); ray parameters ``t`` below are in units of ``|dir|``.
+    next voxel it pierces. Returns one int64 per ray, (N,): the flat index
+    into ``grid.labels.reshape(-1)`` of the voxel hit, or -1 on a miss. Ray
+    parameters ``t`` below are in units of ``|dir|``.
 
     * Time rule: the ray crosses plane ``P`` of axis ``a``, the voxel
       boundary at ``g0[a] + P*vox``, at ``((g0[a] + P*vox) - o[a]) / d[a]``,
@@ -211,17 +213,16 @@ def raycast_grid(
             raise ValueError(f"{name} must be a scalar or have shape ({n},), not {value.shape}")
         if np.isnan(value).any():
             raise ValueError(f"{name} must not be NaN")
-    # Per-ray state is one contiguous row per axis, (3, N).
+    # One contiguous row per axis, (3, N); axis-row dirs stay the caller's: never write d.
     o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
     if (d == 0.0).all(axis=0).any() or not (np.isfinite(o).all() and np.isfinite(d).all()):
         raise ValueError("rays need finite origins and finite, non-zero directions")
-    hit = np.zeros(n, dtype=bool)
-    hit_iv = np.zeros((n, 3), dtype=np.int64)
+    answer = np.full(n, -1, dtype=np.int64)
     # The caller's limits cull first: a ray that starts past its range, or
     # at inf, reaches nothing, whatever the grid.
     active = np.flatnonzero(np.broadcast_to((t_start <= t_lim) & (t_start < np.inf), (n,)))
     if len(active) == 0:
-        return hit, hit_iv
+        return answer
 
     dims = np.asarray(grid.spec.dims)[:, None]
     g0 = np.asarray(grid.spec.origin)[:, None]
@@ -242,7 +243,7 @@ def raycast_grid(
     keep = np.flatnonzero((t_begin <= hi_t.min(axis=0)) & (t_begin <= t_lim)
                           & (t_begin < np.inf))
     if len(keep) == 0:
-        return hit, hit_iv
+        return answer
 
     active, o, d = active[keep], o.take(keep, axis=1), d.take(keep, axis=1)
     t_enter, t_begin, t_lim = t_enter[keep], t_begin[keep], t_lim[keep]
@@ -282,7 +283,6 @@ def raycast_grid(
     cell = strides[:, 0] @ (p - up).astype(np.int64)
     ts = np.where(up, strides, -strides).ravel()
     del p, up
-    hit_cell = np.zeros(n, dtype=np.int64)
     m = len(active)
     live = np.ones(m, dtype=bool)
     ray, ray_y, ray_z = np.arange(3 * m).reshape(3, m)  # (axis, ray) indices into tm
@@ -337,8 +337,7 @@ def raycast_grid(
             n_live = int(np.count_nonzero(live))
             if stride or n_live <= 0.75 * m:  # after each stride, or a quarter of the rays done
                 done = ~live
-                hit[active[done]] = ~free[done]
-                hit_cell[active[done]] = cell[done]
+                answer[active[done]] = np.where(free[done], -1, cell[done])
                 if not n_live:
                     break
                 active, cell, t_lim = active[live], cell[live], t_lim[live]
@@ -347,8 +346,7 @@ def raycast_grid(
                 m, live = n_live, np.ones(n_live, dtype=bool)
                 ray, ray_y, ray_z = np.arange(3 * m).reshape(3, m)
                 tx, ty, tz = tm.reshape(3, m)
-    hit_iv[hit] = np.transpose(np.unravel_index(hit_cell[hit], grid.labels.shape))
-    return hit, hit_iv
+    return answer
 
 
 # ``raycast_grid``: the live rays at or below which the loop takes strides
@@ -386,24 +384,24 @@ def _height_limit(grid: SemanticOccupancyGrid, origin: np.ndarray, dirs: np.ndar
     sample with ``S_j* < s``. A vertical ray, and every ray of a camera so
     far away that ``R`` passes the grid's side, keeps ``(0, inf)``.
 
-    Why the limits are exact. Let ``d = slack v``. (a) The voxel the
-    traversal enters at ``t`` holds the ray's point at ``t`` up to ``d``: the
-    rounding there and here is a few hundred ulps of coordinates under 10^6
-    voxels. (b) At ``rho`` in sample j's span a ray of the bin lies within
-    ``v/2 + rho_max dphi/2`` of the sample point, so a voxel within ``d`` of
-    it is in a column within ``R v`` of the sample's. (c) The ray is above
-    ``H_j`` over the span of every sample with ``s > sigma_j``: from
-    ``rho_lo(j*)`` on, every later sample (``s > S_j >= sigma_j``), and
-    before ``rho_lo(j_s)``, every earlier one (``s > M_j >= sigma_j``). So
-    such a voxel is at or above its column's top: free. Samples may start
-    at the grid's nearest column: no voxel lies nearer, and a stop never
-    falls before the first one. Slopes compare as int64 multiples of
+    Why the limits are exact. Let ``d = slack v``. (a) The voxel the traversal
+    enters at ``t`` holds the ray's point at ``t`` up to ``d``: the rounding
+    there and here, ``|dxy| = sqrt(dx dx + dy dy)`` among it, is a few hundred
+    ulps of coordinates under 10^6 voxels. (b) At ``rho`` in sample j's span a
+    ray of the bin lies within ``v/2 + rho_max dphi/2`` of the sample point, so
+    a voxel within ``d`` of it is in a column within ``R v`` of the sample's.
+    (c) The ray is above ``H_j`` over the span of every sample with ``s >
+    sigma_j``: from ``rho_lo(j*)`` on, every later sample (``s > S_j >=
+    sigma_j``), and before ``rho_lo(j_s)``, every earlier one (``s > M_j >=
+    sigma_j``). So such a voxel is at or above its column's top: free. Samples
+    may start at the grid's nearest column: no voxel lies nearer, and a stop
+    never falls before the first one. Slopes compare as int64 multiples of
     ``_SLOPE_UNIT``, ``sigma`` rounded up and ``s`` down.
     """
     vox, (nx, ny, nz) = grid.spec.voxel_size, grid.spec.dims
     g0, o = np.asarray(grid.spec.origin), np.asarray(origin, dtype=np.float64)
     dx, dy, dz = dirs.T
-    dxy = np.hypot(dx, dy)
+    dxy = np.sqrt(dx * dx + dy * dy)
     lo, hi = g0[:2] - o[:2], g0[:2] + np.array([nx, ny]) * vox - o[:2]
     near = np.hypot(*np.maximum(np.maximum(lo, -hi), 0.0))
     rho_max = min(np.hypot(*np.maximum(-lo, hi)), float(max_range) * float(dxy.max()))
@@ -483,14 +481,16 @@ def raycast_buffers(
     dirs = cam.pixel_directions()
     flat = dirs.reshape(-1, 3)
     start, stop = _height_limit(grid, cam.center(), flat, max_range, schema.free_class)
-    hit, iv = raycast_grid(grid, np.broadcast_to(cam.center(), flat.shape), flat, start,
-                           np.minimum(max_range, stop), schema.free_class)
+    cell = raycast_grid(grid, np.broadcast_to(cam.center(), flat.shape), flat, start,
+                        np.minimum(max_range, stop), schema.free_class)
     h, w = cam.height, cam.width
+    hit = cell >= 0
     pixel = np.flatnonzero(hit)
-    iv = iv[pixel]
+    cell = cell.take(pixel)
     semantic = np.full(h * w, schema.free_class, dtype=np.int64)
-    semantic[pixel] = grid.labels.reshape(-1).take(np.ravel_multi_index(iv.T, grid.spec.dims))
+    semantic[pixel] = grid.labels.reshape(-1).take(cell)
     coordinate = np.zeros((h * w, 3))
+    iv = np.transpose(np.unravel_index(cell, grid.spec.dims))
     coordinate[pixel] = grid.spec.index_to_center(iv)
     return GeometryBuffers(semantic=semantic.reshape(h, w),
                            coordinate=coordinate.reshape(h, w, 3),

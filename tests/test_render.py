@@ -116,6 +116,19 @@ def reference_raycast_grid(
     return hit, hit_iv, hit_t
 
 
+def raycast_hits(grid, origins, dirs, start, max_range, free_class):
+    """``raycast_grid``'s answer in the reference's form: (hit (N,), voxel
+    index (N, 3), zero on a miss). Every answer must be a flat index into
+    the grid's labels or -1."""
+    cell = raycast_grid(grid, origins, dirs, start, max_range, free_class)
+    assert cell.dtype == np.int64 and cell.shape == (len(np.reshape(dirs, (-1, 3))),)
+    assert np.all((cell >= -1) & (cell < grid.labels.size))
+    hit = cell >= 0
+    iv = np.zeros((len(cell), 3), dtype=np.int64)
+    iv[hit] = np.transpose(np.unravel_index(cell[hit], grid.labels.shape))
+    return hit, iv
+
+
 def embedding(cam):
     return plucker_embedding(cam.pixel_directions(), cam.center())
 
@@ -156,6 +169,18 @@ def test_pixel_directions_match_the_norm_oracle_bit_for_bit():
     for cam in densify_rig(densify_rig(standard_rig(fx=80.0, width=160, height=90), 1),
                            1).cameras:
         assert cam.pixel_directions().tobytes() == reference_pixel_directions(cam).tobytes()
+
+
+def test_pixel_directions_are_three_axis_rows():
+    """The (H, W, 3) directions view one contiguous row per axis: flattening
+    them to rays and taking the axis rows, as the raycast does, copies nothing."""
+    for width, height in ((160, 90), (1, 7), (9, 1), (1, 1)):
+        cam = Camera(fx=80.0, fy=80.0, cx=width / 2, cy=height / 2, width=width, height=height,
+                     pose=Se3Pose(random_rotation(np.random.default_rng(width)), np.ones(3)))
+        d = cam.pixel_directions()
+        assert d.tobytes() == reference_pixel_directions(cam).tobytes()
+        rays = d.reshape(-1, 3)
+        assert np.shares_memory(d, rays) and rays.T.flags.c_contiguous
 
 
 class TestPlucker:
@@ -284,7 +309,7 @@ class TestRaycast:
         spec = GridSpec(dims=(4, 3, 2), origin=(0.0, 0.0, 0.0), voxel_size=1.0)
         labels = np.zeros((4, 3, 2), dtype=np.uint8)
         labels[0, 1, 0] = 1
-        hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), [[-1.0, 1.5, 0.5]],
+        hit, iv = raycast_hits(SemanticOccupancyGrid(spec, labels), [[-1.0, 1.5, 0.5]],
                                [[1.0, 0.0, 0.0]], 0.0, 10.0, 0)
         assert hit.tolist() == [True] and iv.tolist() == [[0, 1, 0]]
         for bad, shape in ((labels[:1], "1, 3, 2"), (labels[:, :, :1], "4, 3, 1"),
@@ -306,7 +331,7 @@ class TestRaycast:
             targets = rng.uniform(-3.0, 3.0, size=(400, 3))
             dirs = targets - origins
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            hit, iv = raycast_grid(grid, origins, dirs, 0.0, 60.0, SCHEMA.free_class)
+            hit, iv = raycast_hits(grid, origins, dirs, 0.0, 60.0, SCHEMA.free_class)
             ohit, oiv, cert = sampled_first_hit(labels, spec, origins, dirs,
                                                 60.0, SCHEMA.free_class, substeps=50)
             total += int(cert.sum())
@@ -362,7 +387,7 @@ def assert_same_traversal(labels, spec, origins, dirs, max_range, free):
     Returns the hit mask and the reference's entry distance, ``inf`` on a
     miss, which ``raycast_grid`` does not return.
     """
-    hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0, max_range,
+    hit, iv = raycast_hits(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0, max_range,
                            free)
     rhit, riv, rt = reference_raycast_grid(labels, spec, origins, dirs,
                                            max_range, free)
@@ -449,7 +474,7 @@ class TestRaycastOracle:
         # tie rule steps the lowest axis, even one the ray does not move along
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hit, iv = raycast_grid(grid, origins, dirs * 5e-324, 0.0, np.inf, free)
+            hit, iv = raycast_hits(grid, origins, dirs * 5e-324, 0.0, np.inf, free)
         with np.errstate(over="ignore"):  # the oracle's overflow to inf is the case
             rhit, riv, _ = reference_raycast_grid(labels, spec, origins, dirs * 5e-324,
                                                   np.inf, free)
@@ -458,10 +483,10 @@ class TestRaycastOracle:
         # from outside the box such a ray could enter only at t = inf: it misses
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hit, iv = raycast_grid(grid, origins - 1.0, dirs * 5e-324, 0.0, np.inf, free)
+            hit, iv = raycast_hits(grid, origins - 1.0, dirs * 5e-324, 0.0, np.inf, free)
         assert not hit.any() and not iv.any()
         empty = np.zeros((0, 3))
-        hit, iv = raycast_grid(grid, empty, empty, 0.0, 5.0, free)
+        hit, iv = raycast_hits(grid, empty, empty, 0.0, 5.0, free)
         assert hit.shape == (0,) and iv.shape == (0, 3)
 
     def test_input_layouts(self):
@@ -509,6 +534,22 @@ class TestRaycastOracle:
                                           max_range, SCHEMA.free_class)
 
 
+    def test_the_answer_is_a_flat_index_or_minus_one(self):
+        """-1 on every miss of the reference; on every hit the flat index of
+        the reference's voxel, which is not free."""
+        rng = np.random.default_rng(3401)
+        free, hits, misses = 5, 0, 0
+        for trial in range(40):
+            labels, spec, origins, dirs, max_range, _ = random_case(rng, trial)
+            cell = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0,
+                                max_range, free)
+            rhit, riv, _ = reference_raycast_grid(labels, spec, origins, dirs, max_range, free)
+            assert cell.dtype == np.int64 and np.all(cell[~rhit] == -1)
+            assert np.array_equal(cell[rhit], np.ravel_multi_index(riv[rhit].T, spec.dims))
+            assert np.all(labels.reshape(-1)[cell[rhit]] != free)
+            hits, misses = hits + int(rhit.sum()), misses + int((~rhit).sum())
+        assert hits > 1000 and misses > 1000
+
     def test_an_exit_tied_with_an_interior_crossing(self):
         """Each ray crosses an x plane and a y plane at t = 0.5, one of them
         the grid's last. Ray 0 crosses x's interior plane 3 first, by the tie
@@ -520,7 +561,7 @@ class TestRaycastOracle:
         labels[3, 2, 0] = 1
         origins = np.array([[2.5, 2.5, 0.5], [3.5, 1.5, 0.5]])
         dirs = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        hit, iv = raycast_grid(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0,
+        hit, iv = raycast_hits(SemanticOccupancyGrid(spec, labels), origins, dirs, 0.0,
                                np.inf, 0)
         assert hit.tolist() == [True, False] and iv.tolist() == [[3, 2, 0], [0, 0, 0]]
         assert_same_traversal(labels, spec, origins, dirs, np.inf, 0)
@@ -585,7 +626,7 @@ class TestRestart:
             for kind, start in starts.items():
                 moved = ~np.isnan(start) & (start > t_in)
                 kinds[kind] += int(moved.sum())
-                hit, iv = raycast_grid(grid, origins, dirs, np.where(moved, start, 0.0),
+                hit, iv = raycast_hits(grid, origins, dirs, np.where(moved, start, 0.0),
                                        max_range, free)
                 assert np.array_equal(hit, want_hit), kind
                 assert np.array_equal(iv, want_iv), kind
@@ -607,7 +648,7 @@ class TestRestart:
         want = reference_raycast_grid(labels, spec, origins, dirs, np.inf, 9)
         assert want[0].all() and (want[1] == [3, 3, 1]).all()
         for start in (0.0, 0.2, 0.3):
-            hit, iv = raycast_grid(grid, origins, dirs, start, np.inf, 9)
+            hit, iv = raycast_hits(grid, origins, dirs, start, np.inf, 9)
             assert np.array_equal(hit, want[0]) and np.array_equal(iv, want[1])
 
 
@@ -630,7 +671,7 @@ class TestStop:
         dirs = np.array([direction] + [[1.0, 0.0, 0.0]] * 7)
         labels[:, 0, 0] = 9
         grid = SemanticOccupancyGrid(self.SPEC, labels)
-        hit, iv = raycast_grid(grid, origins, dirs, np.append(start, np.zeros(7)), max_range, 9)
+        hit, iv = raycast_hits(grid, origins, dirs, np.append(start, np.zeros(7)), max_range, 9)
         rhit, riv, _ = reference_raycast_grid(labels, self.SPEC, origins, dirs, max_range, 9)
         assert np.array_equal(hit, rhit) and np.array_equal(iv, riv)
         assert not hit[1:].any()
@@ -933,8 +974,8 @@ class TestHeightCull:
 
         origins = np.broadcast_to(cam.center(), dirs.shape)
         for start, max_range in ((start, np.minimum(60.0, stop)), (np.inf, np.inf), (1.0, 0.5)):
-            hit, iv = raycast_grid(Unread(), origins, dirs, start, max_range, SCHEMA.free_class)
-            assert not hit.any() and not iv.any()
+            cell = raycast_grid(Unread(), origins, dirs, start, max_range, SCHEMA.free_class)
+            assert np.all(cell == -1)
         assert_culled_buffers_exact(grid, cam, 60.0)
 
     def test_a_level_rig_cuts_most_rays(self):
@@ -984,10 +1025,10 @@ def test_per_ray_range_equals_one_call_per_ray():
     first = reference_raycast_grid(labels, spec, origins, dirs, np.inf, 9)[2]
     starts = np.where(np.isfinite(first), first, 9.0) * rng.choice([0.0, 0.5, 1.0], n)
     grid = SemanticOccupancyGrid(spec, labels)
-    hit, iv = raycast_grid(grid, origins, dirs, starts, ranges, 9)
+    hit, iv = raycast_hits(grid, origins, dirs, starts, ranges, 9)
     assert 0 < hit.sum() < n and np.count_nonzero(starts) > n / 2
     for i in range(n):
-        one = raycast_grid(grid, origins[i:i + 1], dirs[i:i + 1], float(starts[i]),
+        one = raycast_hits(grid, origins[i:i + 1], dirs[i:i + 1], float(starts[i]),
                            float(ranges[i]), 9)
         assert one[0][0] == hit[i] and np.array_equal(one[1][0], iv[i])
     nan_at_one = ranges.copy()
@@ -1007,7 +1048,7 @@ def test_a_nan_start_or_range_is_rejected_not_a_miss():
     labels = np.zeros(spec.dims, dtype=np.uint8)
     labels[2, 1, 0] = 1
     grid = SemanticOccupancyGrid(spec, labels)
-    cast = lambda start, max_range: raycast_grid(grid, [[-1.0, 1.5, 0.5]], [[1.0, 0.0, 0.0]],
+    cast = lambda start, max_range: raycast_hits(grid, [[-1.0, 1.5, 0.5]], [[1.0, 0.0, 0.0]],
                                                  start, max_range, 0)[0].tolist()
     assert cast(0.0, 10.0) == cast(0.0, np.inf) == [True]
     assert cast(np.inf, np.inf) == [False]
@@ -1163,7 +1204,32 @@ def test_buffers_validate_moment_orthogonality():
     buf.hit_mask[0, 0] = True
     with pytest.raises(ValueError, match="non-finite hit coordinates"):
         buf.validate()
-    buffers(np.array([1e-12, 2.0, -3.0])).validate()  # at the tolerance
-    for bad in ([2e-12, 2.0, -3.0], [0.5, 0.0, 0.0], [-1.0, 1.0, 1.0]):
+    # the bound is relative to the row's size: 1e-9 |d| |m|, here 1e-9 sqrt(13)
+    buffers(np.array([0.99e-9 * np.sqrt(13.0), 2.0, -3.0])).validate()
+    buffers(np.array([0.0, 0.0, 0.0])).validate()  # a line through the world origin
+    for bad in ([1.01e-9 * np.sqrt(13.0), 2.0, -3.0], [1e-12, 2e-4, -3e-4], [0.5, 0.0, 0.0],
+                [-1.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="orthogonal"):
             buffers(np.array(bad)).validate()
+
+
+def test_buffers_validate_far_cameras_and_reject_a_bent_moment():
+    """The rounding of ``d . (o x d)`` grows with ``|o|``: correct buffers of
+    level cameras 10 km from the world origin validate, while a near camera
+    whose moments carry 1e-6 d more is rejected."""
+    def buffers(plucker):
+        return GeometryBuffers(semantic=np.zeros((90, 160), dtype=np.uint8),
+                               coordinate=np.zeros((90, 160, 3)), plucker=plucker,
+                               hit_mask=np.zeros((90, 160), dtype=bool))
+
+    rng = np.random.default_rng(3402)
+    for _ in range(20):
+        a = rng.uniform(-np.pi, np.pi)
+        center = (1e4 * np.cos(a), 1e4 * np.sin(a), rng.uniform(-2.0, 5.0))
+        buffers(embedding(posed_camera(center, rng.uniform(-np.pi, np.pi), fx=80.0, width=160,
+                                       height=90))).validate()
+    plucker = embedding(posed_camera((1.0, 0.5, 1.5), 0.3, fx=80.0, width=160, height=90))
+    buffers(plucker).validate()
+    plucker[..., 3:] += 1e-6 * plucker[..., :3]
+    with pytest.raises(ValueError, match="orthogonal"):
+        buffers(plucker).validate()
